@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import factorial
 from typing import Iterator, Optional
 
@@ -143,7 +144,8 @@ def enumerate_semigroups_brute(n: int) -> Iterator[OpTable]:
 def enumerate_dimonoids(n: int, max_n: int = DIMONOID_ENUM_BOUND) -> Iterator[DiTable]:
     """All labeled dimonoids of order n: ordered pairs of labeled semigroups
     filtered through the three pairing axioms.  Deterministic order (left
-    table lexicographic, then right)."""
+    table lexicographic, then right).  The independent cross-check of
+    enumerate_dimonoids_backtracking."""
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
     sgs = list(enumerate_semigroups(n))
@@ -153,62 +155,119 @@ def enumerate_dimonoids(n: int, max_n: int = DIMONOID_ENUM_BOUND) -> Iterator[Di
                 yield pair(left, right)
 
 
-def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
-                                     ) -> Iterator[DiTable]:
-    """Independent enumeration route: for each left table, build the right
-    table cell by cell, pruning on every axiom instance that is already fully
-    determined.  Must agree with enumerate_dimonoids exactly."""
-    if n > max_n:
-        raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
+def _right_tables(left: OpTable) -> Iterator[OpTable]:
+    """Every right table that makes a dimonoid with the associative table
+    `left`, in lexicographic entry order.
+
+    Cells are filled row-major.  (x <| y) <| z = x <| (y |> z) reads a single
+    right cell, so it fixes up front the values each cell may take.  When cell
+    (x, y) gets value v, every instance (a, b, c) of the other three right-table
+    identities in which (x, y) plays a role is tested, skipping instances that
+    still read an unset cell; each instance is thus decided when its last cell
+    is set.
+    """
+    n, le = left.n, left.entries
     rng = range(n)
     size = n * n
+    # the values cell (b, c) may take: (a <| b) <| c = a <| (b |> c) for all a,
+    # compared as whole columns a -> a <| t
+    column = [tuple(le[a * n + t] for a in rng) for t in rng]
+    allowed = []
+    for b in rng:
+        for c in rng:
+            target = tuple(le[le[a * n + b] * n + c] for a in rng)
+            allowed.append([v for v in rng if column[v] == target])
+    # left-table preimages: cells (a, b) with a <| b = t
+    lpre = [[divmod(j, n) for j in range(size) if le[j] == t] for t in rng]
+    e: list[Optional[int]] = [None] * size
 
-    def partial_ok(le: tuple, re_: list) -> bool:
-        for x in rng:
-            xn = x * n
-            for y in rng:
-                ry = re_[xn + y]
-                ly = le[xn + y]
-                yn = y * n
-                for z in rng:
-                    rz = re_[yn + z]
-                    # right associativity
-                    if ry is not None and rz is not None:
-                        lhs = re_[ry * n + z]
-                        rhs = re_[xn + rz]
-                        if lhs is not None and rhs is not None and lhs != rhs:
-                            return False
-                    # (x <| y) <| z = x <| (y |> z)
-                    if rz is not None and le[le[xn + y] * n + z] != le[xn + rz]:
+    def consistent(x: int, y: int, v: int) -> bool:
+        # instances (a, b, c) that read the new cell (x, y) = v, by its role;
+        # RA is right associativity (a |> b) |> c = a |> (b |> c), D2 is
+        # (a |> b) <| c = a |> (b <| c), D3 is (a <| b) |> c = a |> (b |> c)
+        xn, yn, vn = x * n, y * n, v * n
+        for z in rng:
+            # (a, b) = (x, y), c = z: RA and D2
+            q = e[yn + z]
+            if q is not None:
+                lhs = e[vn + z]
+                rhs = e[xn + q]
+                if lhs is not None and rhs is not None and lhs != rhs:
+                    return False
+            rhs = e[xn + le[yn + z]]
+            if rhs is not None and le[vn + z] != rhs:
+                return False
+            # a = z, (b, c) = (x, y): RA and D3
+            zn = z * n
+            rhs = e[zn + v]
+            if rhs is not None:
+                p = e[zn + x]
+                if p is not None:
+                    lhs = e[p * n + y]
+                    if lhs is not None and lhs != rhs:
                         return False
-                    # (x |> y) <| z = x |> (y <| z)
-                    if ry is not None:
-                        rhs = re_[xn + le[yn + z]]
-                        if rhs is not None and le[ry * n + z] != rhs:
-                            return False
-                    # (x <| y) |> z = x |> (y |> z)
-                    if rz is not None:
-                        lhs = re_[ly * n + z]
-                        rhs = re_[xn + rz]
-                        if lhs is not None and rhs is not None and lhs != rhs:
-                            return False
+                lhs = e[le[zn + x] * n + y]
+                if lhs is not None and lhs != rhs:
+                    return False
+        # a = x, b <| c = y: D2
+        for b, c in lpre[y]:
+            p = e[xn + b]
+            if p is not None and le[p * n + c] != v:
+                return False
+        # a <| b = x, c = y: D3
+        for a, b in lpre[x]:
+            q = e[b * n + y]
+            if q is not None:
+                rhs = e[a * n + q]
+                if rhs is not None and rhs != v:
+                    return False
+        for j in range(xn + y + 1):
+            w = e[j]
+            if w == x:
+                # a |> b = x, c = y: RA
+                a, b = divmod(j, n)
+                q = e[b * n + y]
+                if q is not None:
+                    rhs = e[a * n + q]
+                    if rhs is not None and rhs != v:
+                        return False
+            if w == y:
+                # a = x, b |> c = y: RA and D3
+                b, c = divmod(j, n)
+                p = e[xn + b]
+                if p is not None:
+                    lhs = e[p * n + c]
+                    if lhs is not None and lhs != v:
+                        return False
+                lhs = e[le[xn + b] * n + c]
+                if lhs is not None and lhs != v:
+                    return False
         return True
 
+    def fill(k: int) -> Iterator[OpTable]:
+        if k == size:
+            yield OpTable(n, tuple(e))  # type: ignore[arg-type]
+            return
+        x, y = divmod(k, n)
+        for v in allowed[k]:
+            e[k] = v
+            if consistent(x, y, v):
+                yield from fill(k + 1)
+        e[k] = None
+
+    yield from fill(0)
+
+
+def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
+                                     ) -> Iterator[DiTable]:
+    """All labeled dimonoids of order n, built right table by right table for
+    each labeled semigroup on the left (see `_right_tables`).  The primary
+    route; yields exactly the sequence of enumerate_dimonoids."""
+    if n > max_n:
+        raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
     for left in enumerate_semigroups(n):
-        le = left.entries
-        re_: list[Optional[int]] = [None] * size
-
-        def fill(k: int) -> Iterator[DiTable]:
-            if k == size:
-                yield pair(left, OpTable(n, tuple(re_)))  # type: ignore[arg-type]
-                return
-            for v in rng:
-                re_[k] = v
-                if partial_ok(le, re_):
-                    yield from fill(k + 1)
-            re_[k] = None
-
-        yield from fill(0)
+        for right in _right_tables(left):
+            yield pair(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +313,12 @@ Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 def _count_chunk(args: tuple[int, int, int]) -> Counter:
     """Canonical-class counts of all labeled dimonoids whose left table has
-    enumeration index in [lo, hi)."""
+    enumeration index in [lo, hi), built by the backtracking route."""
     n, lo, hi = args
-    sgs = list(enumerate_semigroups(n))
     counts: Counter = Counter()
-    for i in range(lo, hi):
-        left = sgs[i]
-        for right in sgs:
-            if axioms_ok(left, right):
-                counts[canonical_key(pair(left, right))] += 1
+    for left in islice(enumerate_semigroups(n), lo, hi):
+        for right in _right_tables(left):
+            counts[canonical_key(pair(left, right))] += 1
     return counts
 
 
@@ -274,7 +330,8 @@ def _class_counts(n: int, workers: int) -> Counter:
     tasks = [(n, bounds[i], bounds[i + 1]) for i in range(workers)
              if bounds[i] < bounds[i + 1]]
     counts: Counter = Counter()
-    with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    with multiprocessing.get_context("fork").Pool(processes=processes) as pool:
         for part in pool.map(_count_chunk, tasks):
             counts.update(part)
     return counts

@@ -15,7 +15,8 @@ has failures, to keep classification meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import (
@@ -134,16 +135,19 @@ def axioms_ok(left: OpTable, right: OpTable) -> bool:
 @dataclass(frozen=True)
 class DiTable:
     """An ordered pair of same-size tables (left operation, right operation)
-    with its axiom report.  Equality and hashing ignore the report, which is
-    derived data."""
+    with its axiom report.  The report is derived data: it is computed on
+    first access and cached, and equality and hashing ignore it."""
 
     left: OpTable
     right: OpTable
-    axiom_status: AxiomReport = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.left.n
+
+    @cached_property
+    def axiom_status(self) -> AxiomReport:
+        return _axiom_report(self.left, self.right)
 
     @property
     def is_dimonoid(self) -> bool:
@@ -162,11 +166,11 @@ class DiTable:
 
 
 def pair(left: OpTable, right: OpTable) -> DiTable:
-    """Pair two tables and populate the axiom report.  Non-dimonoids are not
-    rejected; inspect ``DiTable.is_dimonoid`` or the report."""
+    """Pair two tables.  Non-dimonoids are not rejected; inspect
+    ``DiTable.is_dimonoid`` or the axiom report, computed on first access."""
     if left.n != right.n:
         raise SizeMismatch(f"carrier sizes differ: {left.n} vs {right.n}")
-    return DiTable(left, right, _axiom_report(left, right))
+    return DiTable(left, right)
 
 
 def check_axioms(d: DiTable) -> AxiomReport:

@@ -43,7 +43,7 @@ class OpTable:
             raise SizeMismatch("operation-table document needs 'n' and 'table' keys")
         n = doc["n"]
         rows = doc["table"]
-        if not isinstance(n, int) or not isinstance(rows, list):
+        if not isinstance(n, int) or isinstance(n, bool) or not isinstance(rows, list):
             raise SizeMismatch("'n' must be an int and 'table' a list of rows")
         if len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
             raise SizeMismatch(f"expected {n} rows of length {n}")
@@ -56,6 +56,8 @@ def make_table(n: int, entries: Sequence[int]) -> OpTable:
     No algebraic law is assumed; only the shape and the index range are
     checked.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SizeMismatch(f"carrier size must be an int, got {n!r}")
     if n <= 0:
         raise EmptyCarrier("carrier size must be at least 1")
     ent = tuple(entries)

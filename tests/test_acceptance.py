@@ -253,7 +253,6 @@ def test_criterion_07_right_commutative_pairing_lemma(semigroups):
           f"{sum(counts.values())} tables; count 113 cross-checked")
 
 
-@pytest.mark.slow
 def test_criterion_07_slow_order_four():
     count = 0
     for t in enumerate_semigroups(4):

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from collections import Counter
 
 import pytest
@@ -9,9 +11,11 @@ from dimonoids import (
     FormatError,
     OpTable,
     are_isomorphic,
+    automorphisms,
     canonical_key,
     cases,
     classify,
+    dual_table,
     dumps_catalog,
     enumerate_dimonoids,
     enumerate_dimonoids_backtracking,
@@ -48,7 +52,6 @@ def test_semigroup_enumeration_is_sorted_and_unique(semigroups):
         assert len(set(entry_lists)) == len(entry_lists)
 
 
-@pytest.mark.slow
 def test_order_four_semigroup_count():
     assert sum(1 for _ in enumerate_semigroups(4)) == 3492
 
@@ -69,17 +72,53 @@ def test_enumeration_bounds():
 
 
 def test_dimonoid_counts_and_route_agreement():
+    # the backtracking route yields the pair filter's sequence, item by item
     for n, expected in DIMONOID_COUNTS.items():
         route_a = list(enumerate_dimonoids(n))
         assert len(route_a) == expected
-        if n <= 2:
-            route_b = list(enumerate_dimonoids_backtracking(n))
-            assert [(d.left, d.right) for d in route_a] == \
-                [(d.left, d.right) for d in route_b]
-            assert Counter(canonical_key(d) for d in route_a) == \
-                Counter(canonical_key(d) for d in route_b)
-        else:
-            assert sum(1 for _ in enumerate_dimonoids_backtracking(n)) == expected
+        route_b = list(enumerate_dimonoids_backtracking(n))
+        assert [(d.left, d.right) for d in route_a] == \
+            [(d.left, d.right) for d in route_b]
+        assert Counter(canonical_key(d) for d in route_a) == \
+            Counter(canonical_key(d) for d in route_b)
+
+
+@pytest.fixture(scope="module")
+def order_four():
+    """Every labeled dimonoid of order 4, by the backtracking route."""
+    return list(enumerate_dimonoids_backtracking(4, max_n=4))
+
+
+def test_order_four_dimonoid_counts(order_four):
+    assert len(order_four) == 15277
+    assert all(d.is_dimonoid for d in order_four)
+    per_key = Counter(canonical_key(d) for d in order_four)
+    assert len(per_key) == 734
+    # orbit-stabilizer, class by class: labeled copies = 4!/|Aut|
+    for (kl, kr), count in per_key.items():
+        rep = pair(OpTable(4, kl), OpTable(4, kr))
+        assert count * automorphisms(rep).order == 24
+
+
+def test_order_four_trivial_dimonoids_are_the_semigroups(order_four):
+    trivial = [d.left for d in order_four if d.left == d.right]
+    assert trivial == list(enumerate_semigroups(4))
+    assert len(trivial) == 3492
+
+
+def test_semigroup_counts_match_published_sequences():
+    # labeled: OEIS A023814; up to isomorphism: A027851; up to isomorphism
+    # or anti-isomorphism: A001423
+    labeled, iso, iso_or_anti = [], [], []
+    for n in (1, 2, 3, 4):
+        tables = list(enumerate_semigroups(n))
+        labeled.append(len(tables))
+        iso.append(len({canonical_key(t) for t in tables}))
+        iso_or_anti.append(len({min(canonical_key(t), canonical_key(dual_table(t)))
+                                for t in tables}))
+    assert labeled == [1, 8, 113, 3492]
+    assert iso == [1, 5, 24, 188]
+    assert iso_or_anti == [1, 4, 18, 126]
 
 
 def test_every_commutative_trivial_pair_is_enumerated(semigroups):
@@ -158,6 +197,37 @@ def test_worker_parallelism_is_invisible():
     solo = dumps_catalog(classify(2, workers=1))
     duo = dumps_catalog(classify(2, workers=2))
     assert solo == duo
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker process is started whatever the requested count
+    started = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    expected = dumps_catalog(classify(2))
+    # 8 left tables at order 2 give at most 8 chunks
+    assert dumps_catalog(classify(2, workers=10_000)) == expected
+    assert dumps_catalog(classify(2, workers=3)) == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert dumps_catalog(classify(2, workers=10_000)) == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert dumps_catalog(classify(2, workers=10_000)) == expected
+    assert started == [8, 3, 2, 1]
 
 
 def test_save_load_round_trip(tmp_path, catalogs):

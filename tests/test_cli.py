@@ -88,6 +88,14 @@ def test_verify_rejects_garbage_exit_3(capsys):
     assert json.loads(err)["error"]["code"] == "IndexOutOfRange"
 
 
+def test_verify_rejects_boolean_size_exit_3(capsys):
+    # JSON true is not the carrier size 1
+    code, out, err = run(capsys, "verify", "--json",
+                         json.dumps({"n": True, "left": [[0]], "right": [[0]]}))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "SizeMismatch"
+
+
 def test_props_halo_dual_aut(capsys, tmp_path):
     d = pair(left_zero_sg(2), right_zero_sg(2))
     path = tmp_path / "d.json"
