@@ -10,7 +10,6 @@ produces bit-identical files regardless of how many workers it uses.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -298,6 +297,9 @@ class CatalogEntry:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CatalogEntry":
+        for name in ("halo_size", "aut_order", "labeled_count", "dual_class"):
+            if type(doc[name]) is not int:
+                raise FormatError(f"{name!r} must be a JSON integer, got {doc[name]!r}")
         return cls(
             canonical=DiTable.from_json(doc["canonical"]),
             flags=DiFlags.from_json(doc["flags"]),
@@ -331,6 +333,8 @@ def _class_counts(n: int, workers: int) -> Counter:
              if bounds[i] < bounds[i + 1]]
     counts: Counter = Counter()
     processes = min(workers, len(tasks), os.cpu_count() or 1)
+    # imported here: only a pooled classify needs it, and the CLI starts faster
+    import multiprocessing
     with multiprocessing.get_context("fork").Pool(processes=processes) as pool:
         for part in pool.map(_count_chunk, tasks):
             counts.update(part)
@@ -418,8 +422,6 @@ def loads_catalog(text: str) -> list[CatalogEntry]:
         try:
             doc = json.loads(line)
             entries.append(CatalogEntry.from_json(doc))
-        except FormatError:
-            raise
         except Exception as exc:
             raise FormatError(str(exc), line=lineno) from exc
     return entries

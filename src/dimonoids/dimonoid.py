@@ -21,6 +21,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     EmptySubset,
+    FormatError,
     IndexOutOfRange,
     NotADimonoid,
     NotAssociative,
@@ -221,13 +222,11 @@ class DiFlags:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DiFlags":
-        return cls(
-            trivial=bool(doc["trivial"]),
-            commutative=bool(doc["commutative"]),
-            abelian=bool(doc["abelian"]),
-            self_dual=bool(doc["self_dual"]),
-            rectangular=bool(doc["rectangular"]),
-        )
+        names = ("trivial", "commutative", "abelian", "self_dual", "rectangular")
+        for name in names:
+            if not isinstance(doc[name], bool):
+                raise FormatError(f"flag {name!r} must be a JSON boolean, got {doc[name]!r}")
+        return cls(*(doc[name] for name in names))
 
 
 def _require_dimonoid(d: DiTable) -> None:

@@ -10,9 +10,11 @@ the same machinery usable for plain semigroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as _permutations
 from math import factorial
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .dimonoid import DiTable, di_flags, halo, pair
 from .errors import BadPartition, BoundExceeded, IndexOutOfRange, NotADimonoid, SizeMismatch
@@ -307,32 +309,62 @@ def matches_symmetric_product(auts: AutSet, spec: SymmetricProductSpec) -> bool:
     return True
 
 
+# a relabeling p as (image lookup x -> p(x), gather of the source cells)
+Relabeling = tuple[Callable[[int], int], Callable[[tuple[int, ...]], tuple[int, ...]]]
+
+
+def _relabelings(n: int) -> tuple[Relabeling, ...]:
+    """Every relabeling p of 0..n-1 as (image lookup, source-cell gather): the
+    gather reads the old cells in the relabeled table's cell order, so the
+    relabeled entries are tuple(map(image, gather(entries))), as relabel_table
+    would build them."""
+    rng = range(n)
+    out = []
+    for img in _permutations(rng):
+        inv = [0] * n
+        for x, v in enumerate(img):
+            inv[v] = x
+        cells = [inv[i] * n + inv[j] for i in rng for j in rng]
+        # itemgetter of a single index returns the entry, not a 1-tuple
+        out.append((img.__getitem__, itemgetter(*cells) if n > 1 else tuple))
+    return tuple(out)
+
+
+# built once per n on first use; only ever called with n <= CANONICAL_BOUND
+_kept_relabelings = lru_cache(maxsize=CANONICAL_BOUND)(_relabelings)
+
+
+def _left_minimizers(left: tuple[int, ...], relabelings: tuple[Relabeling, ...]
+                     ) -> tuple[tuple[int, ...], tuple[Relabeling, ...]]:
+    """The least relabeled left table and the relabelings that reach it."""
+    parts = [tuple(map(img, cells(left))) for img, cells in relabelings]
+    best = min(parts)
+    return best, tuple(r for r, part in zip(relabelings, parts) if part == best)
+
+
+# Enumeration streams and classify produce all right tables of one left table
+# in a row, so a small cache serves most calls.
+@lru_cache(maxsize=256)
+def _cached_left_minimizers(n: int, left: tuple[int, ...]):
+    return _left_minimizers(left, _kept_relabelings(n))
+
+
 def canonical_key(d: Union[OpTable, DiTable],
                   bound: int = CANONICAL_BOUND) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lexicographically least (left entries, right entries) over all
-    relabelings; the comparison key behind canonical_form."""
+    relabelings; the comparison key behind canonical_form.  The left part
+    decides first, so the right part is minimized only over the relabelings
+    that give the least left part."""
     d = as_ditable(d)
     n = d.n
     if n > bound:
         raise BoundExceeded(f"canonical form limited to n <= {bound}, got {n}")
-    le, re_ = d.left.entries, d.right.entries
-    best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-    size = n * n
-    for img in _permutations(range(n)):
-        out_l = [0] * size
-        out_r = [0] * size
-        for x in range(n):
-            xn = x * n
-            px_n = img[x] * n
-            for y in range(n):
-                pxy = px_n + img[y]
-                out_l[pxy] = img[le[xn + y]]
-                out_r[pxy] = img[re_[xn + y]]
-        key = (tuple(out_l), tuple(out_r))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    if n <= CANONICAL_BOUND:
+        best_left, minimizers = _cached_left_minimizers(n, d.left.entries)
+    else:
+        best_left, minimizers = _left_minimizers(d.left.entries, _relabelings(n))
+    re_ = d.right.entries
+    return best_left, min(tuple(map(img, cells(re_))) for img, cells in minimizers)
 
 
 def canonical_form(d: Union[OpTable, DiTable], bound: int = CANONICAL_BOUND) -> DiTable:

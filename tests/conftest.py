@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from dimonoids import classify, enumerate_semigroups
+from dimonoids import classify, enumerate_dimonoids_backtracking, enumerate_semigroups
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -17,3 +17,9 @@ def semigroups():
 def catalogs():
     """Isomorphism-class catalogs, by order."""
     return {n: classify(n) for n in (1, 2, 3)}
+
+
+@pytest.fixture(scope="session")
+def order_four():
+    """Every labeled dimonoid of order 4, by the backtracking route."""
+    return list(enumerate_dimonoids_backtracking(4, max_n=4))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import multiprocessing
 import os
 from collections import Counter
@@ -81,12 +83,6 @@ def test_dimonoid_counts_and_route_agreement():
             [(d.left, d.right) for d in route_b]
         assert Counter(canonical_key(d) for d in route_a) == \
             Counter(canonical_key(d) for d in route_b)
-
-
-@pytest.fixture(scope="module")
-def order_four():
-    """Every labeled dimonoid of order 4, by the backtracking route."""
-    return list(enumerate_dimonoids_backtracking(4, max_n=4))
 
 
 def test_order_four_dimonoid_counts(order_four):
@@ -230,6 +226,25 @@ def test_pool_size_is_clamped(monkeypatch):
     assert started == [8, 3, 2, 1]
 
 
+# SHA-256 of dumps_catalog(classify(n, quotient)); the catalog format must be
+# versioned if these bytes ever change
+CATALOG_DIGESTS = {
+    (1, "iso"): "168a649913e04ea7ee2d6c029c1745555a37d9fd3f81739eae10b8ae71a195e3",
+    (1, "iso_and_duality"): "168a649913e04ea7ee2d6c029c1745555a37d9fd3f81739eae10b8ae71a195e3",
+    (2, "iso"): "6c9a41eab95aa5840dfb07b64b8ff636e36254cd83de95c807a270f11e609848",
+    (2, "iso_and_duality"): "0aa14b4809f52770cabe70b342848c45ecc0c568e8a55ebad4438e2a28a0e961",
+    (3, "iso"): "f57c3fa8ef9bed1a70d5d78fb90d6cf4ecb7fde1701f453d20df2aa1fb65e63b",
+    (3, "iso_and_duality"): "2b9567515bc6997b9da4202b0ef021f4855ce72554e5136829aa4b7a84295ca8",
+    (4, "iso"): "c42e8fd780bce487f6708020d044931ae2411ea6871ce910439be69e5f38e432",
+}
+
+
+def test_catalog_bytes_are_pinned():
+    for (n, quotient), digest in CATALOG_DIGESTS.items():
+        text = dumps_catalog(classify(n, quotient, max_n=4))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
+
+
 def test_save_load_round_trip(tmp_path, catalogs):
     for n, cat in catalogs.items():
         path = tmp_path / f"catalog{n}.jsonl"
@@ -255,6 +270,25 @@ def test_load_rejects_wrong_documents():
         loads_catalog('{"not": "a catalog line"}\n')
     assert err.value.line == 1
     assert loads_catalog("") == []
+
+
+def test_load_rejects_non_boolean_flags(catalogs):
+    doc = catalogs[2][0].to_json()
+    for value in ("false", 0, 1, None):
+        bad = dict(doc, flags=dict(doc["flags"], abelian=value))
+        with pytest.raises(FormatError) as err:
+            loads_catalog(dumps_catalog(catalogs[1]) + json.dumps(bad) + "\n")
+        assert err.value.line == 2
+
+
+def test_load_rejects_non_integer_counts(catalogs):
+    doc = catalogs[2][0].to_json()
+    for field in ("halo_size", "aut_order", "labeled_count", "dual_class"):
+        for value in (str(doc[field]), True, 1.0, None):
+            bad = dict(doc, **{field: value})
+            with pytest.raises(FormatError) as err:
+                loads_catalog(json.dumps(bad) + "\n")
+            assert err.value.line == 1
 
 
 def test_catalog_entry_json_round_trip(catalogs):

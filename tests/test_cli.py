@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import dimonoids
 from dimonoids import (
     dumps_catalog,
     classify,
@@ -201,3 +206,16 @@ def test_json_output_is_byte_stable(capsys, tmp_path):
     path.write_text(json.dumps(pair(left_zero_sg(3), right_zero_sg(3)).to_json()))
     outputs = {run(capsys, "aut", str(path))[1] for _ in range(3)}
     assert len(outputs) == 1
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # only a pooled classify needs multiprocessing; every other command is
+    # spared its import time
+    src = str(Path(dimonoids.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import dimonoids.cli, sys; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

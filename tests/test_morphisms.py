@@ -1,3 +1,5 @@
+import random
+from itertools import groupby
 from math import factorial
 
 import pytest
@@ -10,6 +12,8 @@ from dimonoids import (
     SizeMismatch,
     SymmetricProductSpec,
     adjoin_zero_di,
+    all_permutations,
+    as_ditable,
     are_isomorphic,
     automorphisms,
     automorphisms_brute,
@@ -19,6 +23,7 @@ from dimonoids import (
     check_morphism,
     di_flags,
     dual_dimonoid,
+    enumerate_dimonoids_backtracking,
     left_zero_sg,
     lo_arrow,
     lo_arrow_pair,
@@ -31,8 +36,10 @@ from dimonoids import (
     null_sg,
     pair,
     relabel_dimonoid,
+    relabel_table,
     right_zero_sg,
 )
+from dimonoids.morphisms import _cached_left_minimizers
 
 
 def test_permutation_basics():
@@ -253,3 +260,64 @@ def test_fingerprint_separates_easy_cases():
     b = pair(left_zero_sg(2), left_zero_sg(2))
     assert fingerprint(a) != fingerprint(b)
     assert fingerprint(a) == fingerprint(relabel_dimonoid(a, Permutation.of([1, 0])))
+
+
+def reference_key(d):
+    """canonical_key by its definition: the least relabeled table pair."""
+    d = as_ditable(d)
+    return min((relabel_table(d.left, p).entries, relabel_table(d.right, p).entries)
+               for p in all_permutations(d.n))
+
+
+def test_canonical_key_matches_reference_up_to_order_three():
+    for n in (1, 2, 3):
+        for d in enumerate_dimonoids_backtracking(n):
+            assert canonical_key(d) == reference_key(d)
+
+
+def test_canonical_key_matches_reference_on_order_four_semigroups(order_four):
+    tables = [d.left for d in order_four if d.left == d.right]
+    assert len(tables) == 3492
+    for t in tables:
+        assert canonical_key(t) == reference_key(t)
+
+
+def test_canonical_key_matches_reference_on_order_four_sample(order_four):
+    # whole runs of one left table, in stream order, so repeats hit the
+    # left-table cache
+    runs = [list(run) for _, run in groupby(order_four, key=lambda d: d.left)]
+    assert len(runs) == 3492
+    picked = sorted(random.Random(4).sample(range(len(runs)), 300))
+    _cached_left_minimizers.cache_clear()
+    sample = [d for i in picked for d in runs[i]]
+    for d in sample:
+        assert canonical_key(d) == reference_key(d)
+    assert _cached_left_minimizers.cache_info().hits == len(sample) - len(picked)
+
+
+def left_ties(t):
+    """How many relabelings reach the least relabeled table."""
+    parts = [relabel_table(t, p).entries for p in all_permutations(t.n)]
+    return parts.count(min(parts))
+
+
+def test_canonical_key_alternating_left_tables(order_four):
+    # switching between left tables must never serve another table's
+    # minimizers: take the first left table with each number of left ties
+    # (1, 2, 4, 6, 24) that has several right tables, and cycle through them
+    runs = {}
+    for left, run in groupby(order_four, key=lambda d: d.left):
+        run = list(run)
+        if len(run) >= 3:
+            runs.setdefault(left_ties(left), run)
+    assert sorted(runs) == [1, 2, 4, 6, 24]
+    for i in range(max(len(run) for run in runs.values())):
+        for run in runs.values():
+            d = run[i % len(run)]
+            assert canonical_key(d) == reference_key(d)
+
+
+def test_canonical_key_matches_reference_with_many_left_ties():
+    for d in (null_sg(5, 0), lob_pair(5, 0, 1)):
+        assert canonical_key(d) == reference_key(d)
+    assert canonical_key(lob_pair(6, 0, 1), bound=6) == reference_key(lob_pair(6, 0, 1))
