@@ -13,9 +13,9 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from math import factorial
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .constructions import CONSTRUCTION_NAMES, ConstructionCase, cases
 from .dimonoid import (
@@ -45,7 +45,14 @@ from .morphisms import (
     canonical_key,
     matches_symmetric_product,
 )
-from .tables import OpTable, dual_table, element_roles, is_associative, semigroup_class
+from .tables import (
+    OpTable,
+    dual_table,
+    element_roles,
+    is_associative,
+    rectangular_witness,
+    right_commutative_witness,
+)
 
 SEMIGROUP_ENUM_BOUND = 4
 DIMONOID_ENUM_BOUND = 3
@@ -264,7 +271,12 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     route; yields exactly the sequence of enumerate_dimonoids."""
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    for left in enumerate_semigroups(n):
+    yield from _dimonoids_over(enumerate_semigroups(n))
+
+
+def _dimonoids_over(lefts: Iterable[OpTable]) -> Iterator[DiTable]:
+    """Every dimonoid whose left table is one of `lefts`, in their order."""
+    for left in lefts:
         for right in _right_tables(left):
             yield pair(left, right)
 
@@ -310,26 +322,18 @@ class CatalogEntry:
         )
 
 
-Key = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _count_chunk(args: tuple[int, int, int]) -> Counter:
-    """Canonical-class counts of all labeled dimonoids whose left table has
-    enumeration index in [lo, hi), built by the backtracking route."""
-    n, lo, hi = args
-    counts: Counter = Counter()
-    for left in islice(enumerate_semigroups(n), lo, hi):
-        for right in _right_tables(left):
-            counts[canonical_key(pair(left, right))] += 1
-    return counts
+def _count_chunk(lefts: list[OpTable]) -> Counter:
+    """Canonical-class counts of all labeled dimonoids whose left table is
+    one of `lefts`, built by the backtracking route."""
+    return Counter(map(canonical_key, _dimonoids_over(lefts)))
 
 
 def _class_counts(n: int, workers: int) -> Counter:
-    total = sum(1 for _ in enumerate_semigroups(n))
+    lefts = list(enumerate_semigroups(n))
     if workers <= 1:
-        return _count_chunk((n, 0, total))
-    bounds = [round(i * total / workers) for i in range(workers + 1)]
-    tasks = [(n, bounds[i], bounds[i + 1]) for i in range(workers)
+        return _count_chunk(lefts)
+    bounds = [round(i * len(lefts) / workers) for i in range(workers + 1)]
+    tasks = [lefts[bounds[i]:bounds[i + 1]] for i in range(workers)
              if bounds[i] < bounds[i + 1]]
     counts: Counter = Counter()
     processes = min(workers, len(tasks), os.cpu_count() or 1)
@@ -518,13 +522,6 @@ def check_construction_case(case: ConstructionCase) -> Optional[str]:
     return None
 
 
-def _rc_holds(t: OpTable) -> bool:
-    n, e = t.n, t.entries
-    rng = range(n)
-    return all(e[e[s * n + x] * n + y] == e[e[s * n + y] * n + x]
-               for s in rng for x in rng for y in rng)
-
-
 def run_theorem_suite(n_max: int) -> SuiteReport:
     """Re-verify, by exhaustive sweep, every structural claim this package is
     built on: associativity of the families, right commutativity where stated,
@@ -566,9 +563,11 @@ def run_theorem_suite(n_max: int) -> SuiteReport:
                         lambda: (plus_zero_lo(n) for n in range(1, n_max + 1))),
     }
     for rid, (desc, gen) in rc_sweeps.items():
-        failures = [f"table {t.rows()}" for t in gen() if not _rc_holds(t)]
+        failures = [f"table {t.rows()}" for t in gen()
+                    if right_commutative_witness(t) is not None]
         records.append(_record(rid, f"{desc} are right commutative", failures))
-    failures = [f"n={n}" for n in range(2, n_max + 1) if _rc_holds(right_zero_sg(n))]
+    failures = [f"n={n}" for n in range(2, n_max + 1)
+                if right_commutative_witness(right_zero_sg(n)) is None]
     records.append(_record(
         "rc-ro-negative",
         f"right-zero tables with 2 <= n <= {n_max} are not right commutative",
@@ -705,10 +704,10 @@ def _pairing_records(k_max: int) -> list[TheoremRecord]:
     for k in range(1, k_max + 1):
         lo_table = left_zero_sg(k)
         for t in enumerate_semigroups(k):
-            rc = _rc_holds(t)
+            rc = right_commutative_witness(t) is None
             if axioms_ok(t, dual_table(t)) != rc:
                 rc_failures.append(f"n={k} table {t.rows()}: pairs-with-dual != {rc}")
-            rect = semigroup_class(t).rectangular
+            rect = rectangular_witness(t) is None
             if axioms_ok(lo_table, t) != rect:
                 lrec_failures.append(f"n={k} table {t.rows()}: left-zero pairing != {rect}")
             e = t.entries

@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Union
 
 from .catalog import classify, dumps_catalog, run_theorem_suite
-from .dimonoid import DiTable, di_flags, dual_dimonoid, halo, naive_flip
+from .dimonoid import AXIOM_NAMES, DiTable, di_flags, dual_dimonoid, halo, naive_flip
 from .errors import DimonoidError
 from .families import FamilyParams, build
 from .morphisms import (
@@ -188,8 +188,7 @@ def _cmd_verify(args) -> int:
     report = d.axiom_status
     text = _render_ditable(d) + "\n" + "\n".join(
         f"{name}: " + ("ok" if w is None else f"witness {w}")
-        for name, w in ((k, getattr(report, k)) for k in
-                        ("assoc_left", "assoc_right", "d1", "d2", "d3")))
+        for name, w in ((k, getattr(report, k)) for k in AXIOM_NAMES))
     _emit(report.to_json(), args.format, text)
     return 0 if report.all_ok else 1
 

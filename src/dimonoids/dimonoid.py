@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     EmptySubset,
@@ -32,51 +32,15 @@ from .tables import (
     OpTable,
     Witness,
     adjoin_zero,
+    assoc_witness,
     dual_table,
     element_roles,
     is_associative,
+    rectangular_witness,
+    right_commutative_witness,
 )
 
 AXIOM_NAMES = ("assoc_left", "assoc_right", "d1", "d2", "d3")
-
-
-def _check_d1(le: tuple, re_: tuple, n: int) -> Optional[Witness]:
-    rng = range(n)
-    for x in rng:
-        xn = x * n
-        for y in rng:
-            xy = le[xn + y]
-            yn = y * n
-            for z in rng:
-                if le[xy * n + z] != le[xn + re_[yn + z]]:
-                    return (x, y, z)
-    return None
-
-
-def _check_d2(le: tuple, re_: tuple, n: int) -> Optional[Witness]:
-    rng = range(n)
-    for x in rng:
-        xn = x * n
-        for y in rng:
-            xy = re_[xn + y]
-            yn = y * n
-            for z in rng:
-                if le[xy * n + z] != re_[xn + le[yn + z]]:
-                    return (x, y, z)
-    return None
-
-
-def _check_d3(le: tuple, re_: tuple, n: int) -> Optional[Witness]:
-    rng = range(n)
-    for x in rng:
-        xn = x * n
-        for y in rng:
-            xy = le[xn + y]
-            yn = y * n
-            for z in rng:
-                if re_[xy * n + z] != re_[xn + re_[yn + z]]:
-                    return (x, y, z)
-    return None
 
 
 @dataclass(frozen=True)
@@ -92,8 +56,7 @@ class AxiomReport:
 
     @property
     def all_ok(self) -> bool:
-        return (self.assoc_left is None and self.assoc_right is None
-                and self.d1 is None and self.d2 is None and self.d3 is None)
+        return all(getattr(self, name) is None for name in AXIOM_NAMES)
 
     def failures(self) -> dict[str, Witness]:
         """Every failing axiom with its witness."""
@@ -112,25 +75,25 @@ class AxiomReport:
         return doc
 
 
-def _axiom_report(left: OpTable, right: OpTable) -> AxiomReport:
+def _axiom_witnesses(left: OpTable, right: OpTable) -> Iterator[Optional[Witness]]:
+    """The five axiom witnesses in AXIOM_NAMES order, each computed on demand."""
     le, re_, n = left.entries, right.entries, left.n
-    return AxiomReport(
-        assoc_left=is_associative(left),
-        assoc_right=is_associative(right),
-        d1=_check_d1(le, re_, n),
-        d2=_check_d2(le, re_, n),
-        d3=_check_d3(le, re_, n),
-    )
+    yield assoc_witness(le, le, le, le, n)
+    yield assoc_witness(re_, re_, re_, re_, n)
+    yield assoc_witness(le, le, le, re_, n)
+    yield assoc_witness(le, re_, re_, le, n)
+    yield assoc_witness(re_, le, re_, re_, n)
+
+
+def _axiom_report(left: OpTable, right: OpTable) -> AxiomReport:
+    return AxiomReport(*_axiom_witnesses(left, right))
 
 
 def axioms_ok(left: OpTable, right: OpTable) -> bool:
     """Fast all-or-nothing axiom check used by the enumerators; equivalent to
-    building the full report and asking all_ok."""
-    le, re_, n = left.entries, right.entries, left.n
-    return (is_associative(left) is None and is_associative(right) is None
-            and _check_d1(le, re_, n) is None
-            and _check_d2(le, re_, n) is None
-            and _check_d3(le, re_, n) is None)
+    building the full report and asking all_ok, but stops at the first
+    failing axiom (a witness is a nonempty tuple, so any() stops there)."""
+    return not any(_axiom_witnesses(left, right))
 
 
 @dataclass(frozen=True)
@@ -234,12 +197,6 @@ def _require_dimonoid(d: DiTable) -> None:
         raise NotADimonoid(f"axioms fail: {d.axiom_status.failures()}")
 
 
-def _is_rectangular(e: tuple, n: int) -> bool:
-    rng = range(n)
-    return all(e[e[x * n + y] * n + z] == e[x * n + z]
-               for x in rng for y in rng for z in rng)
-
-
 def di_flags(d: DiTable) -> DiFlags:
     """Compute the predicate flags of a verified dimonoid by exhaustive check.
 
@@ -250,16 +207,16 @@ def di_flags(d: DiTable) -> DiFlags:
     _require_dimonoid(d)
     n, le, re_ = d.n, d.left.entries, d.right.entries
     rng = range(n)
-    commutative = (all(le[x * n + y] == le[y * n + x] for x in rng for y in rng)
-                   and all(re_[x * n + y] == re_[y * n + x] for x in rng for y in rng))
     abelian = all(le[x * n + y] == re_[y * n + x] for x in rng for y in rng)
     dual = dual_dimonoid(d)
     return DiFlags(
         trivial=d.left == d.right,
-        commutative=commutative,
+        # each table equals its transpose; the dual holds both transposes, swapped
+        commutative=dual.left == d.right and dual.right == d.left,
         abelian=abelian,
         self_dual=dual.left == d.left and dual.right == d.right,
-        rectangular=_is_rectangular(le, n) and _is_rectangular(re_, n),
+        rectangular=(rectangular_witness(d.left) is None
+                     and rectangular_witness(d.right) is None),
     )
 
 
@@ -314,12 +271,6 @@ def from_right_commutative(t: OpTable, strict: bool = False) -> DiTable:
     w = is_associative(t)
     if w is not None:
         raise NotAssociative(f"not associative, witness {w}")
-    if strict:
-        n, e = t.n, t.entries
-        rng = range(n)
-        for s in rng:
-            for x in rng:
-                for y in rng:
-                    if e[e[s * n + x] * n + y] != e[e[s * n + y] * n + x]:
-                        raise NotRightCommutative(f"witness {(s, x, y)}")
+    if strict and (w := right_commutative_witness(t)) is not None:
+        raise NotRightCommutative(f"witness {w}")
     return pair(t, dual_table(t))

@@ -16,12 +16,11 @@ from .errors import (
     BadFamilyParams,
     CarrierTooSmall,
     EmptyA,
-    EmptyCarrier,
     EqualDistinguished,
     IndexOutOfRange,
     ZeroInA,
 )
-from .tables import OpTable, adjoin_zero, dual_table
+from .tables import OpTable, adjoin_zero, check_size, dual_table
 
 FAMILIES = (
     "O", "O_A", "LO", "RO", "LO_tilde0", "RO_tilde0",
@@ -43,11 +42,6 @@ _REQUIRED = {
 }
 
 
-def _check_size(n: int) -> None:
-    if n <= 0:
-        raise EmptyCarrier("carrier size must be at least 1")
-
-
 def _check_index(v: int, n: int, what: str) -> None:
     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
         raise IndexOutOfRange(f"{what} {v!r} outside 0..{n - 1}")
@@ -55,7 +49,7 @@ def _check_index(v: int, n: int, what: str) -> None:
 
 def null_sg(n: int, zero: int) -> OpTable:
     """x*y = zero for all x, y."""
-    _check_size(n)
+    check_size(n)
     _check_index(zero, n, "zero")
     return OpTable(n, (zero,) * (n * n))
 
@@ -66,7 +60,7 @@ def o_with_fixed(n: int, zero: int, A: Iterable[int]) -> OpTable:
     Commutative with zero `zero`; a semilattice when A is everything but the
     zero, and the plain null table when A is empty.
     """
-    _check_size(n)
+    check_size(n)
     _check_index(zero, n, "zero")
     fixed = frozenset(A)
     for v in fixed:
@@ -81,13 +75,13 @@ def o_with_fixed(n: int, zero: int, A: Iterable[int]) -> OpTable:
 
 def left_zero_sg(n: int) -> OpTable:
     """x*y = x."""
-    _check_size(n)
+    check_size(n)
     return OpTable(n, tuple(x for x in range(n) for _ in range(n)))
 
 
 def right_zero_sg(n: int) -> OpTable:
     """x*y = y; the dual of the left-zero table."""
-    _check_size(n)
+    check_size(n)
     return OpTable(n, tuple(y for _ in range(n) for y in range(n)))
 
 
@@ -99,7 +93,7 @@ def lo_tilde0(n: int, A: Iterable[int]) -> OpTable:
     With A = 0..n-1 this coincides with adjoin_zero(left_zero_sg(n)); with
     A empty it is the null table on n+1 elements.
     """
-    _check_size(n)
+    check_size(n)
     sel = frozenset(A)
     for v in sel:
         _check_index(v, n, "A element")
@@ -118,6 +112,7 @@ def lob(n: int, a: int, c: int) -> OpTable:
     tables."""
     if not isinstance(a, int) or not isinstance(c, int) or a == c:
         raise EqualDistinguished("a and c must be distinct elements")
+    check_size(n)
     if n < 2:
         raise CarrierTooSmall("left-zero band needs at least 2 elements")
     _check_index(a, n, "a")
@@ -138,7 +133,7 @@ def lo_arrow(n: int, A: Iterable[int], a: int) -> OpTable:
     """Partial left-zero table anchored at a: x*y = x for x in A and = a for x
     outside A.  Coincides with the null table (zero a) when A = {a} and with
     the left-zero table when A is everything."""
-    _check_size(n)
+    check_size(n)
     sel = frozenset(A)
     if not sel:
         raise EmptyA("A must be nonempty")

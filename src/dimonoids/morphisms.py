@@ -16,7 +16,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .dimonoid import DiTable, di_flags, halo, pair
+from .dimonoid import AXIOM_NAMES, DiTable, di_flags, halo, pair
 from .errors import BadPartition, BoundExceeded, IndexOutOfRange, NotADimonoid, SizeMismatch
 from .tables import OpTable, element_roles
 
@@ -381,8 +381,7 @@ def fingerprint(d: Union[OpTable, DiTable]) -> tuple:
     before paying for canonical forms."""
     d = as_ditable(d)
     report = d.axiom_status
-    ok_pattern = tuple(getattr(report, name) is None for name in
-                       ("assoc_left", "assoc_right", "d1", "d2", "d3"))
+    ok_pattern = tuple(getattr(report, name) is None for name in AXIOM_NAMES)
     sigs = tuple(sorted(_element_signatures(d)))
     if d.is_dimonoid:
         fl = di_flags(d)

@@ -50,16 +50,21 @@ class OpTable:
         return make_table(n, [v for row in rows for v in row])
 
 
+def check_size(n: int) -> None:
+    """Reject a carrier size that is not a positive int (a bool is not one)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SizeMismatch(f"carrier size must be an int, got {n!r}")
+    if n <= 0:
+        raise EmptyCarrier("carrier size must be at least 1")
+
+
 def make_table(n: int, entries: Sequence[int]) -> OpTable:
     """Validate and build an OpTable from a row-major entry sequence.
 
     No algebraic law is assumed; only the shape and the index range are
     checked.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SizeMismatch(f"carrier size must be an int, got {n!r}")
-    if n <= 0:
-        raise EmptyCarrier("carrier size must be at least 1")
+    check_size(n)
     ent = tuple(entries)
     if len(ent) != n * n:
         raise SizeMismatch(f"need {n * n} entries for n={n}, got {len(ent)}")
@@ -74,18 +79,57 @@ def from_rows(rows: Sequence[Sequence[int]]) -> OpTable:
     return make_table(len(rows), [v for row in rows for v in row])
 
 
+def assoc_witness(p: Sequence[int], q: Sequence[int], r: Sequence[int],
+                  s: Sequence[int], n: int) -> Optional[Witness]:
+    """None when (x q y) p z = x r (y s z) holds for every triple of row-major
+    entry tuples on 0..n-1, else the first violating (x, y, z) in scan order x,
+    then y, then z.  Associativity binds one table to all four places; the
+    dimonoid axioms bind the two operations of a pair."""
+    rng = range(n)
+    for x in rng:
+        xn = x * n
+        for y in rng:
+            xyn = q[xn + y] * n
+            yn = y * n
+            for z in rng:
+                if p[xyn + z] != r[xn + s[yn + z]]:
+                    return (x, y, z)
+    return None
+
+
 def is_associative(t: OpTable) -> Optional[Witness]:
     """Return None when (x*y)*z = x*(y*z) holds for every triple, else the
     lexicographically first violating (x, y, z) in scan order x, then y, then z."""
+    e = t.entries
+    return assoc_witness(e, e, e, e, t.n)
+
+
+def right_commutative_witness(t: OpTable) -> Optional[Witness]:
+    """None when s*x*y = s*y*x (left-to-right bracketing) for every triple,
+    else the first violating (s, x, y) in scan order s, then x, then y."""
+    n, e = t.n, t.entries
+    rng = range(n)
+    for s in rng:
+        sn = s * n
+        for x in rng:
+            sxn = e[sn + x] * n
+            for y in rng:
+                if e[sxn + y] != e[e[sn + y] * n + x]:
+                    return (s, x, y)
+    return None
+
+
+def rectangular_witness(t: OpTable) -> Optional[Witness]:
+    """None when x*y*z = x*z (left-to-right bracketing) for every triple,
+    else the first violating (x, y, z) in scan order x, then y, then z."""
     n, e = t.n, t.entries
     rng = range(n)
     for x in rng:
         xn = x * n
         for y in rng:
-            xy = e[xn + y]
-            yn = y * n
+            xyn = e[xn + y] * n
             for z in rng:
-                if e[xy * n + z] != e[xn + e[yn + z]]:
+                if e[xyn + z] != e[xn + z]:
                     return (x, y, z)
     return None
 
@@ -176,15 +220,8 @@ def semigroup_class(t: OpTable) -> ClassFlags:
     """
     n, e = t.n, t.entries
     rng = range(n)
-    commutative = all(e[x * n + y] == e[y * n + x] for x in rng for y in rng)
+    commutative = t == dual_table(t)
     band = all(e[x * n + x] == x for x in rng)
-    rectangular = all(
-        e[e[x * n + y] * n + z] == e[x * n + z] for x in rng for y in rng for z in rng
-    )
-    right_commutative = all(
-        e[e[s * n + x] * n + y] == e[e[s * n + y] * n + x]
-        for s in rng for x in rng for y in rng
-    )
     return ClassFlags(
         associative=is_associative(t) is None,
         commutative=commutative,
@@ -193,8 +230,8 @@ def semigroup_class(t: OpTable) -> ClassFlags:
         null=len(set(e)) == 1,
         left_zero_sg=all(e[x * n + y] == x for x in rng for y in rng),
         right_zero_sg=all(e[x * n + y] == y for x in rng for y in rng),
-        rectangular=rectangular,
-        right_commutative=right_commutative,
+        rectangular=rectangular_witness(t) is None,
+        right_commutative=right_commutative_witness(t) is None,
     )
 
 

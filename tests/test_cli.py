@@ -51,6 +51,14 @@ def test_build_validation_error_exit_3(capsys):
     assert json.loads(err)["error"]["code"] == "EqualDistinguished"
 
 
+def test_build_rejects_non_int_size_exit_3(capsys):
+    for n in (True, 2.0):
+        doc = json.dumps({"family": "LO", "n": n})
+        code, out, err = run(capsys, "build", "--json", doc)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == "SizeMismatch"
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "classify")[0] == 2  # --n is required

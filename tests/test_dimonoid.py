@@ -210,7 +210,7 @@ def test_from_right_commutative_reports_failure_without_strict():
 
 
 def test_from_right_commutative_strict_raises():
-    with pytest.raises(NotRightCommutative):
+    with pytest.raises(NotRightCommutative, match=r"witness \(0, 0, 1\)"):
         from_right_commutative(right_zero_sg(2), strict=True)
     with pytest.raises(NotAssociative):
         from_right_commutative(make_table(2, [1, 0, 0, 0]))

@@ -9,6 +9,7 @@ from dimonoids import (
     EqualDistinguished,
     FamilyParams,
     IndexOutOfRange,
+    SizeMismatch,
     ZeroInA,
     adjoin_zero,
     build,
@@ -38,6 +39,9 @@ def test_null_sg():
     assert flags.associative and flags.commutative and flags.null
     with pytest.raises(IndexOutOfRange):
         null_sg(2, 2)
+    # a bool is an int to Python, but not a carrier size
+    with pytest.raises(SizeMismatch):
+        null_sg(True, 0)
     with pytest.raises(EmptyCarrier):
         null_sg(0, 0)
 

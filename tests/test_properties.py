@@ -1,12 +1,16 @@
 """Law-level properties checked on randomly drawn tables and permutations."""
 
+from itertools import product
+
 from hypothesis import given, strategies as st
 
 from dimonoids import (
     OpTable,
     Permutation,
     adjoin_zero,
+    axioms_ok,
     canonical_key,
+    check_axioms,
     dual_table,
     element_roles,
     is_associative,
@@ -15,6 +19,7 @@ from dimonoids import (
     relabel_dimonoid,
     semigroup_class,
 )
+from dimonoids.tables import rectangular_witness, right_commutative_witness
 
 
 @st.composite
@@ -121,3 +126,59 @@ def test_axiom_witnesses_are_real_violations(tables):
     if report.d3 is not None:
         x, y, z = report.d3
         assert re_.entry(le.entry(x, y), z) != re_.entry(x, re_.entry(y, z))
+
+
+def _first_failure(n, holds):
+    """The first triple, in lexicographic scan order, where `holds` is false."""
+    return next((w for w in product(range(n), repeat=3) if not holds(*w)), None)
+
+
+def _reference_report(le, re_):
+    """The five axioms evaluated cell by cell, in AXIOM_NAMES order."""
+    n = le.n
+    return (
+        _first_failure(n, lambda x, y, z:
+                       le.entry(le.entry(x, y), z) == le.entry(x, le.entry(y, z))),
+        _first_failure(n, lambda x, y, z:
+                       re_.entry(re_.entry(x, y), z) == re_.entry(x, re_.entry(y, z))),
+        _first_failure(n, lambda x, y, z:
+                       le.entry(le.entry(x, y), z) == le.entry(x, re_.entry(y, z))),
+        _first_failure(n, lambda x, y, z:
+                       le.entry(re_.entry(x, y), z) == re_.entry(x, le.entry(y, z))),
+        _first_failure(n, lambda x, y, z:
+                       re_.entry(le.entry(x, y), z) == re_.entry(x, re_.entry(y, z))),
+    )
+
+
+def _reference_rc(t):
+    return _first_failure(t.n, lambda s, x, y:
+                          t.entry(t.entry(s, x), y) == t.entry(t.entry(s, y), x))
+
+
+def _reference_rect(t):
+    return _first_failure(t.n, lambda x, y, z: t.entry(t.entry(x, y), z) == t.entry(x, z))
+
+
+@given(table_pairs(max_n=4))
+def test_axiom_report_equals_cellwise_reference(tables):
+    left, right = tables
+    report = check_axioms(pair(left, right))
+    assert (report.assoc_left, report.assoc_right, report.d1, report.d2,
+            report.d3) == _reference_report(left, right)
+    assert axioms_ok(left, right) == report.all_ok
+
+
+@given(op_tables(max_n=4))
+def test_commutativity_flags_equal_cellwise_reference(t):
+    # the rectangular flag has its own brute-force test above
+    n = t.n
+    flags = semigroup_class(t)
+    assert flags.commutative == all(t.entry(x, y) == t.entry(y, x)
+                                    for x in range(n) for y in range(n))
+    assert flags.right_commutative == (_reference_rc(t) is None)
+
+
+@given(op_tables(max_n=4))
+def test_identity_witnesses_equal_cellwise_reference(t):
+    assert right_commutative_witness(t) == _reference_rc(t)
+    assert rectangular_witness(t) == _reference_rect(t)
