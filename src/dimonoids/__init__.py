@@ -3,8 +3,8 @@ operations.
 
 Construct the classical semigroup families and the dimonoid constructions
 built from them, check the pairing axioms, compute halos, zeros and
-automorphism groups, test isomorphism through canonical forms, and classify
-every dimonoid of small order.
+automorphism groups, test isomorphism by a backtracking search, compute
+canonical forms, and classify every dimonoid of small order.
 """
 
 from .catalog import (
@@ -101,7 +101,6 @@ from .morphisms import (
     canonical_form,
     canonical_key,
     check_morphism,
-    fingerprint,
     matches_symmetric_product,
     relabel_dimonoid,
     relabel_table,

@@ -28,7 +28,7 @@ from .dimonoid import (
     naive_flip,
     pair,
 )
-from .errors import BoundExceeded, EmptyCarrier, FormatError
+from .errors import BoundExceeded, FormatError
 from .families import (
     family_sweep,
     left_zero_sg,
@@ -47,6 +47,7 @@ from .morphisms import (
 )
 from .tables import (
     OpTable,
+    check_size,
     dual_table,
     element_roles,
     is_associative,
@@ -72,8 +73,7 @@ def enumerate_semigroups(n: int, max_n: int = SEMIGROUP_ENUM_BOUND) -> Iterator[
     already violates associativity; this is what makes n = 4 (3492 tables out
     of 4^16 raw ones) feasible.
     """
-    if n <= 0:
-        raise EmptyCarrier("carrier size must be at least 1")
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"semigroup enumeration limited to n <= {max_n}")
     size = n * n
@@ -137,8 +137,7 @@ def enumerate_semigroups(n: int, max_n: int = SEMIGROUP_ENUM_BOUND) -> Iterator[
 def enumerate_semigroups_brute(n: int) -> Iterator[OpTable]:
     """Reference route: generate every n^(n*n) table and filter by
     associativity.  Only sensible for n <= 3."""
-    if n <= 0:
-        raise EmptyCarrier("carrier size must be at least 1")
+    check_size(n)
     if n > 3:
         raise BoundExceeded("brute-force table filter limited to n <= 3")
     for entries in product(range(n), repeat=n * n):
@@ -287,8 +286,8 @@ def _dimonoids_over(lefts: Iterable[OpTable]) -> Iterator[DiTable]:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One isomorphism class: its canonical representative plus the invariant
-    fingerprint recorded in the catalog file."""
+    """One isomorphism class: its canonical representative plus the
+    invariants recorded in the catalog file."""
 
     canonical: DiTable
     flags: DiFlags
@@ -360,6 +359,7 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     """
     if quotient not in QUOTIENTS:
         raise ValueError(f"quotient must be one of {QUOTIENTS}")
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"classification limited to n <= {max_n}")
     counts = _class_counts(n, max(1, workers))

@@ -1,6 +1,10 @@
 """Permutation actions on dimonoids: homomorphism/isomorphism checking,
-automorphism enumeration, matching automorphism sets against products of
-symmetric groups, and lexicographic canonical forms.
+automorphism sets matched against products of symmetric groups, and
+lexicographic canonical forms.
+
+One backtracking search, _isomorphisms, lists the isomorphisms between two
+structures of at most SEARCH_BOUND elements; automorphisms collects all of
+them from a structure to itself and are_isomorphic stops at the first.
 
 Every function here also accepts a bare OpTable where a dimonoid is expected,
 treating it as the trivial dimonoid whose two operations coincide; that makes
@@ -16,11 +20,13 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .dimonoid import AXIOM_NAMES, DiTable, di_flags, halo, pair
+from .dimonoid import DiTable, pair
 from .errors import BadPartition, BoundExceeded, IndexOutOfRange, NotADimonoid, SizeMismatch
 from .tables import OpTable, element_roles
 
 CANONICAL_BOUND = 5
+# largest carrier the isomorphism search (automorphisms, are_isomorphic) takes
+SEARCH_BOUND = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -190,57 +196,68 @@ def _element_signatures(d: DiTable) -> list[tuple]:
     return [sigs[0][x] + sigs[1][x] for x in range(d.n)]
 
 
-def automorphisms(structure: Union[OpTable, DiTable]) -> AutSet:
-    """All permutations that are isomorphisms of the structure onto itself.
+def _isomorphisms(d1: DiTable, d2: DiTable) -> Iterator[Permutation]:
+    """Every isomorphism d1 -> d2 of two structures of equal size.
 
-    Backtracking search: candidate images are restricted to elements with the
-    same role profile, and partial maps are discarded as soon as they violate
-    either operation on already-assigned products.  The result is identical to
-    the full n!-scan (asserted in the tests), just much smaller in practice.
+    Individualize-and-check backtracking: the elements of d1 take images in
+    turn, those with the fewest candidates first, and each element's
+    candidates are the elements of d2 with the same role profile.  Each
+    product x*y = p of either table is checked exactly once, at the level
+    where the last of x, y, p gets its image, so a node checks only what it
+    newly decides and a leaf is a full isomorphism.
     """
+    n = d1.n
+    if n > SEARCH_BOUND:
+        raise BoundExceeded(f"isomorphism search limited to n <= {SEARCH_BOUND}, got {n}")
+    sig1 = _element_signatures(d1)
+    sig2 = sig1 if d2 is d1 else _element_signatures(d2)
+    if sorted(sig1) != sorted(sig2):
+        return
+    candidates = [[v for v in range(n) if sig2[v] == s] for s in sig1]
+    order = sorted(range(n), key=lambda x: len(candidates[x]))
+    level = [0] * n
+    for k, x in enumerate(order):
+        level[x] = k
+    # checks[k]: (target rows, x, y, x*y) for the products decided at level k
+    checks: list[list] = [[] for _ in range(n)]
+    for src, dst in ((d1.left, d2.left), (d1.right, d2.right)):
+        e, rows = src.entries, dst.rows()
+        for x in range(n):
+            for y in range(n):
+                p = e[x * n + y]
+                checks[max(level[x], level[y], level[p])].append((rows, x, y, p))
+    images = [-1] * n
+    used = [False] * n
+
+    def extend(k: int) -> Iterator[Permutation]:
+        x = order[k]
+        for v in candidates[x]:
+            if used[v]:
+                continue
+            images[x] = v
+            for rows, a, b, p in checks[k]:
+                if rows[images[a]][images[b]] != images[p]:
+                    break
+            else:
+                if k + 1 == n:
+                    yield Permutation(tuple(images))
+                else:
+                    used[v] = True
+                    yield from extend(k + 1)
+                    used[v] = False
+
+    yield from extend(0)
+
+
+def automorphisms(structure: Union[OpTable, DiTable]) -> AutSet:
+    """All permutations that are isomorphisms of the structure onto itself,
+    found by the isomorphism search from the structure to itself.  The result
+    equals the full n!-scan of automorphisms_brute (asserted in the tests).
+    Limited to n <= SEARCH_BOUND."""
     d = as_ditable(structure)
     if not d.is_dimonoid:
         raise NotADimonoid(f"axioms fail: {d.axiom_status.failures()}")
-    n = d.n
-    le, re_ = d.left.entries, d.right.entries
-    sig = _element_signatures(d)
-    candidates = [[v for v in range(n) if sig[v] == sig[x]] for x in range(n)]
-    images = [-1] * n
-    used = [False] * n
-    found: list[Permutation] = []
-
-    def consistent(k: int) -> bool:
-        # verify both operations on all pairs of assigned elements whose
-        # product is also assigned; at k = n-1 this is the full check
-        for i in range(k + 1):
-            ii_n = images[i] * n
-            i_n = i * n
-            for j in range(k + 1):
-                jj = images[j]
-                p = le[i_n + j]
-                if p <= k and le[ii_n + jj] != images[p]:
-                    return False
-                q = re_[i_n + j]
-                if q <= k and re_[ii_n + jj] != images[q]:
-                    return False
-        return True
-
-    def extend(k: int) -> None:
-        if k == n:
-            found.append(Permutation(tuple(images)))
-            return
-        for v in candidates[k]:
-            if used[v]:
-                continue
-            images[k] = v
-            used[v] = True
-            if consistent(k):
-                extend(k + 1)
-            used[v] = False
-        images[k] = -1
-
-    extend(0)
-    return AutSet(frozenset(found))
+    return AutSet(frozenset(_isomorphisms(d, d)))
 
 
 def automorphisms_brute(structure: Union[OpTable, DiTable]) -> AutSet:
@@ -376,32 +393,12 @@ def canonical_form(d: Union[OpTable, DiTable], bound: int = CANONICAL_BOUND) -> 
     return pair(OpTable(d.n, key_l), OpTable(d.n, key_r))
 
 
-def fingerprint(d: Union[OpTable, DiTable]) -> tuple:
-    """Cheap isomorphism-invariant profile used to reject non-isomorphic pairs
-    before paying for canonical forms."""
-    d = as_ditable(d)
-    report = d.axiom_status
-    ok_pattern = tuple(getattr(report, name) is None for name in AXIOM_NAMES)
-    sigs = tuple(sorted(_element_signatures(d)))
-    if d.is_dimonoid:
-        fl = di_flags(d)
-        extra = ((fl.trivial, fl.commutative, fl.abelian, fl.self_dual, fl.rectangular),
-                 len(halo(d)))
-    else:
-        extra = None
-    return (d.n, ok_pattern, sigs, extra)
-
-
-def are_isomorphic(d1: Union[OpTable, DiTable], d2: Union[OpTable, DiTable],
-                   bound: int = CANONICAL_BOUND) -> bool:
-    """Isomorphism test: size/fingerprint fast rejection, then canonical-form
-    equality.  Different carrier sizes give False, not an error."""
+def are_isomorphic(d1: Union[OpTable, DiTable], d2: Union[OpTable, DiTable]) -> bool:
+    """Whether some permutation maps one structure onto the other, found by
+    the isomorphism search; the tables need not be associative.  Different
+    carrier sizes give False, not an error.  Limited to n <= SEARCH_BOUND."""
     d1 = as_ditable(d1)
     d2 = as_ditable(d2)
     if d1.n != d2.n:
         return False
-    if d1.left == d2.left and d1.right == d2.right:
-        return True
-    if fingerprint(d1) != fingerprint(d2):
-        return False
-    return canonical_key(d1, bound) == canonical_key(d2, bound)
+    return next(_isomorphisms(d1, d2), None) is not None

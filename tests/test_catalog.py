@@ -12,6 +12,7 @@ from dimonoids import (
     EmptyCarrier,
     FormatError,
     OpTable,
+    SizeMismatch,
     are_isomorphic,
     automorphisms,
     canonical_key,
@@ -71,6 +72,17 @@ def test_enumeration_bounds():
         list(enumerate_semigroups(0))
     with pytest.raises(BoundExceeded):
         run_theorem_suite(7)
+
+
+def test_enumeration_rejects_non_int_sizes():
+    # a bool size would otherwise reach the catalog as "n": true
+    for n in (True, 2.0):
+        with pytest.raises(SizeMismatch):
+            list(enumerate_semigroups(n))
+        with pytest.raises(SizeMismatch):
+            list(enumerate_semigroups_brute(n))
+        with pytest.raises(SizeMismatch):
+            classify(n)
 
 
 def test_dimonoid_counts_and_route_agreement():
@@ -236,6 +248,7 @@ CATALOG_DIGESTS = {
     (3, "iso"): "f57c3fa8ef9bed1a70d5d78fb90d6cf4ecb7fde1701f453d20df2aa1fb65e63b",
     (3, "iso_and_duality"): "2b9567515bc6997b9da4202b0ef021f4855ce72554e5136829aa4b7a84295ca8",
     (4, "iso"): "c42e8fd780bce487f6708020d044931ae2411ea6871ce910439be69e5f38e432",
+    (4, "iso_and_duality"): "68f7c573303b4f5a31b87876c46cdf0e2d5fc415bec940589d86b9d20e411b37",
 }
 
 

@@ -2,16 +2,21 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import dimonoids
 from dimonoids import (
-    dumps_catalog,
+    Permutation,
+    cases,
     classify,
+    dumps_catalog,
     left_zero_sg,
     lo_arrow_pair,
     naive_flip,
+    null_sg,
     pair,
+    relabel_dimonoid,
     right_zero_sg,
 )
 from dimonoids.cli import main
@@ -168,6 +173,32 @@ def test_iso_accepts_inline_documents(capsys):
     doc = json.dumps(d.to_json())
     code, out, _ = run(capsys, "iso", doc, doc)
     assert code == 0 and json.loads(out)["isomorphic"] is True
+
+
+def doc(structure):
+    return json.dumps(structure.to_json())
+
+
+def test_iso_answers_up_to_eight_elements(capsys):
+    d = next(cases("lob*rob", 6)).dimonoid
+    reversal = Permutation(tuple(range(5, -1, -1)))
+    code, out, _ = run(capsys, "iso", doc(d), doc(relabel_dimonoid(d, reversal)))
+    assert code == 0 and json.loads(out) == {"isomorphic": True}
+    for name, n in (("lo_arrow*o", 7), ("lob*o_fixed", 8), ("lo*ro+0", 7)):
+        d = list(cases(name, n))[-1].dimonoid
+        shift = Permutation(tuple((x + 3) % d.n for x in range(d.n)))
+        code, out, _ = run(capsys, "iso", doc(d), doc(relabel_dimonoid(d, shift)))
+        assert code == 0 and json.loads(out) == {"isomorphic": True}, (name, d.n)
+
+
+def test_aut_and_iso_refuse_above_eight_elements(capsys):
+    big = doc(null_sg(12, 0))
+    for argv in (("aut", "--json", big), ("iso", big, big)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == "BoundExceeded"
 
 
 def test_classify_writes_catalog(capsys, tmp_path, monkeypatch):

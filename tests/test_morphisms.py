@@ -39,7 +39,7 @@ from dimonoids import (
     relabel_table,
     right_zero_sg,
 )
-from dimonoids.morphisms import _cached_left_minimizers
+from dimonoids.morphisms import SEARCH_BOUND, _cached_left_minimizers
 
 
 def test_permutation_basics():
@@ -123,7 +123,7 @@ def _assorted_structures(max_n=5):
 def test_pruned_search_equals_brute_force(catalogs):
     for d in _assorted_structures():
         assert automorphisms(d).perms == automorphisms_brute(d).perms
-    for entry in catalogs[3][::5]:
+    for entry in catalogs[3]:
         d = entry.canonical
         assert automorphisms(d).perms == automorphisms_brute(d).perms
 
@@ -204,6 +204,59 @@ def test_are_isomorphic_examples():
     d = lob_pair(3, 0, 1)  # abelian, so self-dual
     assert are_isomorphic(d, dual_dimonoid(d))
     assert not are_isomorphic(lob_pair(3, 0, 1), lob_pair(4, 0, 1))
+    assert are_isomorphic(lob_pair(7, 0, 1), lob_pair(7, 5, 2))
+    # |Aut| is 1!4! against 2!3!
+    assert not are_isomorphic(lo_arrow_pair(6, {0, 1}, 0), lo_arrow_pair(6, {0, 1, 2}, 0))
+
+
+def brute_isomorphic(a, b):
+    """are_isomorphic by its definition: some permutation is an isomorphism."""
+    return any(check_morphism(a, b, p).isomorphism for p in all_permutations(a.n))
+
+
+def test_are_isomorphic_matches_brute_force_scan(catalogs, order_four):
+    rng = random.Random(6)
+    dimonoids = {n: [e.canonical for e in catalogs[n]] for n in (1, 2, 3)}
+    dimonoids[4] = order_four
+    # runs of labeled order-4 dimonoids that share their left table
+    runs = (list(run) for _, run in groupby(order_four, key=lambda d: d.left))
+    shared_left = [run for run in runs if len(run) > 1]
+
+    def random_perm(n):
+        images = list(range(n))
+        rng.shuffle(images)
+        return Permutation(tuple(images))
+
+    def random_pair(n):
+        return pair(make_table(n, [rng.randrange(n) for _ in range(n * n)]),
+                    make_table(n, [rng.randrange(n) for _ in range(n * n)]))
+
+    samples = []
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        a, b = rng.choice(dimonoids[n]), rng.choice(dimonoids[n])
+        samples += [(a, b), (a, relabel_dimonoid(b, random_perm(n))),
+                    (a, relabel_dimonoid(a, random_perm(n)))]
+        samples.append(tuple(rng.sample(rng.choice(shared_left), 2)))
+        # tables that need not be associative
+        c = random_pair(n)
+        samples += [(c, random_pair(n)), (c, relabel_dimonoid(c, random_perm(n)))]
+        # bare tables, read as trivial dimonoids
+        samples += [(a.left, relabel_table(a.left, random_perm(n))),
+                    (a.left, relabel_table(b.left, random_perm(n)))]
+    answers = [are_isomorphic(a, b) for a, b in samples]
+    assert answers == [brute_isomorphic(as_ditable(a), as_ditable(b)) for a, b in samples]
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_search_bound():
+    big = null_sg(SEARCH_BOUND + 1, 0)
+    with pytest.raises(BoundExceeded):
+        automorphisms(big)
+    with pytest.raises(BoundExceeded):
+        are_isomorphic(big, big)
+    # different sizes are told apart without a search
+    assert not are_isomorphic(big, null_sg(3, 0))
 
 
 def test_aut_invariant_under_duality():
@@ -252,14 +305,6 @@ def test_construction_cases_pass_their_aut_specs_at_small_sizes():
                 if case.aut_spec is not None:
                     assert matches_symmetric_product(
                         automorphisms(case.dimonoid), case.aut_spec), case.describe()
-
-
-def test_fingerprint_separates_easy_cases():
-    from dimonoids import fingerprint
-    a = pair(left_zero_sg(2), right_zero_sg(2))
-    b = pair(left_zero_sg(2), left_zero_sg(2))
-    assert fingerprint(a) != fingerprint(b)
-    assert fingerprint(a) == fingerprint(relabel_dimonoid(a, Permutation.of([1, 0])))
 
 
 def reference_key(d):
