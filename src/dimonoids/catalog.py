@@ -3,19 +3,17 @@ classification up to isomorphism (optionally merging dual pairs), catalog
 persistence, and the consolidated structural-theorem verification suite.
 
 Enumeration is deterministic: tables are emitted in lexicographic order of
-their entry tuples, catalogs are sorted by canonical form, and the classifier
-produces bit-identical files regardless of how many workers it uses.
+their entry tuples, and catalogs are sorted by canonical form, so a catalog's
+bytes depend only on its order and quotient.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .constructions import CONSTRUCTION_NAMES, ConstructionCase, cases
 from .dimonoid import (
@@ -28,7 +26,7 @@ from .dimonoid import (
     naive_flip,
     pair,
 )
-from .errors import BoundExceeded, FormatError
+from .errors import BoundExceeded, FormatError, SizeMismatch
 from .families import (
     family_sweep,
     left_zero_sg,
@@ -270,12 +268,7 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     route; yields exactly the sequence of enumerate_dimonoids."""
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    yield from _dimonoids_over(enumerate_semigroups(n))
-
-
-def _dimonoids_over(lefts: Iterable[OpTable]) -> Iterator[DiTable]:
-    """Every dimonoid whose left table is one of `lefts`, in their order."""
-    for left in lefts:
+    for left in enumerate_semigroups(n):
         for right in _right_tables(left):
             yield pair(left, right)
 
@@ -321,36 +314,20 @@ class CatalogEntry:
         )
 
 
-def _count_chunk(lefts: list[OpTable]) -> Counter:
-    """Canonical-class counts of all labeled dimonoids whose left table is
-    one of `lefts`, built by the backtracking route."""
-    return Counter(map(canonical_key, _dimonoids_over(lefts)))
-
-
-def _class_counts(n: int, workers: int) -> Counter:
-    lefts = list(enumerate_semigroups(n))
-    if workers <= 1:
-        return _count_chunk(lefts)
-    bounds = [round(i * len(lefts) / workers) for i in range(workers + 1)]
-    tasks = [lefts[bounds[i]:bounds[i + 1]] for i in range(workers)
-             if bounds[i] < bounds[i + 1]]
-    counts: Counter = Counter()
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
-    # imported here: only a pooled classify needs it, and the CLI starts faster
-    import multiprocessing
-    with multiprocessing.get_context("fork").Pool(processes=processes) as pool:
-        for part in pool.map(_count_chunk, tasks):
-            counts.update(part)
-    return counts
-
-
 QUOTIENTS = ("iso", "iso_and_duality")
 
 
 def classify(n: int, quotient: str = "iso", workers: int = 1,
              max_n: int = DIMONOID_ENUM_BOUND) -> list[CatalogEntry]:
     """Classify all labeled dimonoids of order n up to isomorphism, or up to
-    isomorphism-or-duality.
+    isomorphism-or-duality.  `workers` is ignored; it is kept so that
+    positional callers still work.
+
+    Every class has a member whose left table is the canonical (least
+    relabeled) left table of its semigroup class: relabel any member by a
+    permutation that minimizes its left table.  So the class keys are the
+    canonical keys of the dimonoids over the canonical left tables, one per
+    semigroup class, and no other labeled dimonoid is visited.
 
     Entries are sorted by their canonical tables.  labeled_count is n!/|Aut|
     per orbit-stabilizer (the tests reconcile it against direct counting).
@@ -362,8 +339,9 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"classification limited to n <= {max_n}")
-    counts = _class_counts(n, max(1, workers))
-    keys = sorted(counts)
+    lefts = {OpTable(n, canonical_key(t)[0]) for t in enumerate_semigroups(n)}
+    keys = sorted({canonical_key(pair(left, right))
+                   for left in lefts for right in _right_tables(left)})
     index = {key: i for i, key in enumerate(keys)}
     reps = [pair(OpTable(n, kl), OpTable(n, kr)) for kl, kr in keys]
     dual_of = [index[canonical_key(dual_dimonoid(d))] for d in reps]
@@ -532,6 +510,8 @@ def run_theorem_suite(n_max: int) -> SuiteReport:
     Failures are data, not exceptions: each record carries the first
     counterexample found.
     """
+    if type(n_max) is not int:
+        raise SizeMismatch(f"n_max must be an int, got {n_max!r}")
     if not 1 <= n_max <= SUITE_BOUND:
         raise BoundExceeded(f"suite sweeps limited to 1 <= n_max <= {SUITE_BOUND}")
     records: list[TheoremRecord] = []

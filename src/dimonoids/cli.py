@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Union
 
@@ -157,13 +156,6 @@ def _parse_spec(text: str) -> SymmetricProductSpec:
     return SymmetricProductSpec.of(fixed, blocks)
 
 
-def _workers() -> int:
-    env = os.environ.get("DIMONOID_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _cmd_build(args) -> int:
     if args.inline is not None:
         params = FamilyParams.from_json(json.loads(args.inline))
@@ -242,7 +234,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_classify(args) -> int:
     quotient = "iso" if args.quotient == "iso" else "iso_and_duality"
-    entries = classify(args.n, quotient=quotient, workers=_workers())
+    entries = classify(args.n, quotient=quotient)
     text = dumps_catalog(entries)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

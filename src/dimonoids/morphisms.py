@@ -22,7 +22,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .dimonoid import DiTable, pair
 from .errors import BadPartition, BoundExceeded, IndexOutOfRange, NotADimonoid, SizeMismatch
-from .tables import OpTable, element_roles
+from .tables import OpTable
 
 CANONICAL_BOUND = 5
 # largest carrier the isomorphism search (automorphisms, are_isomorphic) takes
@@ -183,17 +183,20 @@ class AutSet:
 
 def _element_signatures(d: DiTable) -> list[tuple]:
     """Per-element role profile preserved by every automorphism: left/right
-    zero-ness, left/right identity-ness and idempotency in each table."""
+    zero-ness, left/right identity-ness and idempotency in each table (the
+    roles of tables.element_roles, read straight from the entries)."""
+    n = d.n
+    identity = tuple(range(n))
     sigs = []
-    for t in (d.left, d.right):
-        roles = element_roles(t)
-        sigs.append([
-            (x in roles.left_zeros, x in roles.right_zeros,
-             x in roles.left_identities, x in roles.right_identities,
-             x in roles.idempotents)
-            for x in range(d.n)
-        ])
-    return [sigs[0][x] + sigs[1][x] for x in range(d.n)]
+    for x in identity:
+        constant = (x,) * n
+        sig = ()
+        for e in (d.left.entries, d.right.entries):
+            row, column = e[x * n:(x + 1) * n], e[x::n]
+            sig += (row == constant, column == constant,
+                    row == identity, column == identity, row[x] == x)
+        sigs.append(sig)
+    return sigs
 
 
 def _isomorphisms(d1: DiTable, d2: DiTable) -> Iterator[Permutation]:
@@ -330,11 +333,12 @@ def matches_symmetric_product(auts: AutSet, spec: SymmetricProductSpec) -> bool:
 Relabeling = tuple[Callable[[int], int], Callable[[tuple[int, ...]], tuple[int, ...]]]
 
 
+@lru_cache(maxsize=CANONICAL_BOUND)
 def _relabelings(n: int) -> tuple[Relabeling, ...]:
     """Every relabeling p of 0..n-1 as (image lookup, source-cell gather): the
     gather reads the old cells in the relabeled table's cell order, so the
     relabeled entries are tuple(map(image, gather(entries))), as relabel_table
-    would build them."""
+    would build them.  Built once per n on first use."""
     rng = range(n)
     out = []
     for img in _permutations(rng):
@@ -347,49 +351,38 @@ def _relabelings(n: int) -> tuple[Relabeling, ...]:
     return tuple(out)
 
 
-# built once per n on first use; only ever called with n <= CANONICAL_BOUND
-_kept_relabelings = lru_cache(maxsize=CANONICAL_BOUND)(_relabelings)
-
-
-def _left_minimizers(left: tuple[int, ...], relabelings: tuple[Relabeling, ...]
-                     ) -> tuple[tuple[int, ...], tuple[Relabeling, ...]]:
+# Enumeration streams and classify produce all right tables of one left table
+# in a row, so a small cache serves most calls.
+@lru_cache(maxsize=256)
+def _cached_left_minimizers(n: int, left: tuple[int, ...]
+                            ) -> tuple[tuple[int, ...], tuple[Relabeling, ...]]:
     """The least relabeled left table and the relabelings that reach it."""
+    relabelings = _relabelings(n)
     parts = [tuple(map(img, cells(left))) for img, cells in relabelings]
     best = min(parts)
     return best, tuple(r for r, part in zip(relabelings, parts) if part == best)
 
 
-# Enumeration streams and classify produce all right tables of one left table
-# in a row, so a small cache serves most calls.
-@lru_cache(maxsize=256)
-def _cached_left_minimizers(n: int, left: tuple[int, ...]):
-    return _left_minimizers(left, _kept_relabelings(n))
-
-
-def canonical_key(d: Union[OpTable, DiTable],
-                  bound: int = CANONICAL_BOUND) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def canonical_key(d: Union[OpTable, DiTable]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lexicographically least (left entries, right entries) over all
     relabelings; the comparison key behind canonical_form.  The left part
     decides first, so the right part is minimized only over the relabelings
-    that give the least left part."""
+    that give the least left part.  Limited to n <= CANONICAL_BOUND."""
     d = as_ditable(d)
     n = d.n
-    if n > bound:
-        raise BoundExceeded(f"canonical form limited to n <= {bound}, got {n}")
-    if n <= CANONICAL_BOUND:
-        best_left, minimizers = _cached_left_minimizers(n, d.left.entries)
-    else:
-        best_left, minimizers = _left_minimizers(d.left.entries, _relabelings(n))
+    if n > CANONICAL_BOUND:
+        raise BoundExceeded(f"canonical form limited to n <= {CANONICAL_BOUND}, got {n}")
+    best_left, minimizers = _cached_left_minimizers(n, d.left.entries)
     re_ = d.right.entries
     return best_left, min(tuple(map(img, cells(re_))) for img, cells in minimizers)
 
 
-def canonical_form(d: Union[OpTable, DiTable], bound: int = CANONICAL_BOUND) -> DiTable:
+def canonical_form(d: Union[OpTable, DiTable]) -> DiTable:
     """The canonical representative of the isomorphism class: relabel by every
     permutation and keep the lexicographically least concatenated table pair.
     Stable under relabeling: canonical_form(relabel(d, p)) = canonical_form(d)."""
     d = as_ditable(d)
-    key_l, key_r = canonical_key(d, bound)
+    key_l, key_r = canonical_key(d)
     return pair(OpTable(d.n, key_l), OpTable(d.n, key_r))
 
 

@@ -1,7 +1,5 @@
 import hashlib
 import json
-import multiprocessing
-import os
 from collections import Counter
 
 import pytest
@@ -72,6 +70,8 @@ def test_enumeration_bounds():
         list(enumerate_semigroups(0))
     with pytest.raises(BoundExceeded):
         run_theorem_suite(7)
+    with pytest.raises(BoundExceeded):
+        run_theorem_suite(0)
 
 
 def test_enumeration_rejects_non_int_sizes():
@@ -83,6 +83,8 @@ def test_enumeration_rejects_non_int_sizes():
             list(enumerate_semigroups_brute(n))
         with pytest.raises(SizeMismatch):
             classify(n)
+        with pytest.raises(SizeMismatch):
+            run_theorem_suite(n)
 
 
 def test_dimonoid_counts_and_route_agreement():
@@ -106,6 +108,14 @@ def test_order_four_dimonoid_counts(order_four):
     for (kl, kr), count in per_key.items():
         rep = pair(OpTable(4, kl), OpTable(4, kr))
         assert count * automorphisms(rep).order == 24
+    # classify visits only the canonical left tables; the labeled route must
+    # give exactly its classes and counts
+    cat = classify(4, max_n=4)
+    assert {canonical_key(e.canonical): e.labeled_count for e in cat} == per_key
+    # the labeled duality pairing at order 4
+    nonabelian = [i for i, e in enumerate(cat) if not e.flags.abelian]
+    assert (len(cat) - len(nonabelian), len(nonabelian)) == (103, 631)
+    assert sum(cat[i].dual_class_id == i for i in nonabelian) == 23
 
 
 def test_order_four_trivial_dimonoids_are_the_semigroups(order_four):
@@ -193,7 +203,7 @@ def test_abelian_representatives_match_their_pairing(catalogs):
 
 
 def test_orbit_stabilizer_reconciles_with_direct_counting():
-    for n in (1, 2):
+    for n in (1, 2, 3):
         direct = Counter(canonical_key(d) for d in enumerate_dimonoids(n))
         cat = classify(n)
         assert len(direct) == len(cat)
@@ -205,37 +215,6 @@ def test_worker_parallelism_is_invisible():
     solo = dumps_catalog(classify(2, workers=1))
     duo = dumps_catalog(classify(2, workers=2))
     assert solo == duo
-
-
-def test_pool_size_is_clamped(monkeypatch):
-    # a stand-in pool records its size and maps in this process, so no
-    # worker process is started whatever the requested count
-    started = []
-
-    class InlinePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return list(map(fn, tasks))
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    expected = dumps_catalog(classify(2))
-    # 8 left tables at order 2 give at most 8 chunks
-    assert dumps_catalog(classify(2, workers=10_000)) == expected
-    assert dumps_catalog(classify(2, workers=3)) == expected
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert dumps_catalog(classify(2, workers=10_000)) == expected
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert dumps_catalog(classify(2, workers=10_000)) == expected
-    assert started == [8, 3, 2, 1]
 
 
 # SHA-256 of dumps_catalog(classify(n, quotient)); the catalog format must be
