@@ -2,21 +2,25 @@
 classification up to isomorphism (optionally merging dual pairs), catalog
 persistence, and the consolidated structural-theorem verification suite.
 
-Enumeration is deterministic: tables are emitted in lexicographic order of
-their entry tuples, and catalogs are sorted by canonical form, so a catalog's
-bytes depend only on its order and quotient.
+Both enumerators run on one backtracking engine, `_fill`: semigroups against
+associativity, and the right tables of a left table against the axiom
+bindings of `dimonoid.AXIOM_BINDINGS`.  Enumeration is deterministic: tables
+are emitted in lexicographic order of their entry tuples, and catalogs are
+sorted by canonical form, so a catalog's bytes depend only on its order and
+quotient.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import factorial
 from typing import Iterator, Optional
 
 from .constructions import CONSTRUCTION_NAMES, ConstructionCase, cases
 from .dimonoid import (
+    AXIOM_BINDINGS,
     DiFlags,
     DiTable,
     axioms_ok,
@@ -62,74 +66,165 @@ SUITE_BOUND = 6
 # enumeration
 
 
+class _Conflict(Exception):
+    """An instance of a binding fails on the cells set so far."""
+
+
+def _fill(n: int, bindings: list[tuple]) -> Iterator[OpTable]:
+    """Every table t on 0..n-1 with (a q b) p c = a r (b s c) for all a, b, c
+    and every binding (p, q, r, s), in lexicographic entry order.
+
+    Each place of a binding holds a fixed row-major entry tuple, or None for t
+    itself.  A binding without a None place reads only fixed tables and is
+    not tested.  One whose only None place is s reads one cell of t per
+    instance, so it limits up front the values each cell may take.  The
+    others are grouped by the place the cell being set takes in an instance,
+    q, s, p or r, and each group is checked in one loop.
+
+    Cells are chosen row-major.  An instance whose one unset cell is its p or
+    r cell forces that cell; an undo trail clears forced cells on backtrack.
+    Every instance is tested when its last cell is set, chosen or forced.
+    """
+    size = n * n
+    rng = range(n)
+    rc = [divmod(j, n) for j in range(size)]
+    e: list[Optional[int]] = [None] * size
+    # the cells of t holding each value, as (row, column), in the order set
+    pre: list[list[tuple[int, int]]] = [[] for _ in rng]
+    trail: list[int] = []  # the cells set, chosen or forced, in order
+    queue: list[int] = []  # set cells whose instances are still to be tested
+    domain = [list(rng)] * size
+    by_q, by_s, by_p, by_r = [], [], [], []
+
+    def cells(t):
+        if t is e:
+            return pre
+        fixed: list[list[tuple[int, int]]] = [[] for _ in rng]
+        for j, u in enumerate(t):
+            fixed[u].append(rc[j])
+        return fixed
+
+    for binding in bindings:
+        p, q, r, s = (e if t is None else t for t in binding)
+        if binding.count(None) == 1 and s is e:
+            # cell (b, c) = v needs r[a, v] = p[q[a, b], c] for every a:
+            # column v of r against the column over a of p[q[a, b], c]
+            rows = [p[u * n:u * n + n] for u in rng]
+            cols = [r[v::n] for v in rng]
+            targets = (t for b in rng for t in zip(*[rows[u] for u in q[b::n]]))
+            domain = [[v for v in dom if cols[v] == t]
+                      for dom, t in zip(domain, targets)]
+            continue
+        if q is e:
+            by_q.append((p, r, s))
+        if s is e:
+            by_s.append((p, q, r))
+        if p is e:
+            by_p.append((cells(q), r, s))
+        if r is e:
+            by_r.append((p, q, cells(s)))
+
+    def force(j: int, w: int) -> None:
+        if w not in domain[j]:
+            raise _Conflict
+        e[j] = w
+        pre[w].append(rc[j])
+        trail.append(j)
+        queue.append(j)
+
+    def propagate() -> None:
+        # test the instances that read each queued cell: equal sides pass, an
+        # unset side is forced, two set sides that differ are a conflict
+        while queue:
+            j = queue.pop()
+            v = e[j]
+            x, y = rc[j]
+            xn, yn, vn = x * n, y * n, v * n
+            for p, r, s in by_q:
+                for c in rng:
+                    sv = s[yn + c]
+                    if sv is not None:
+                        lhs, rhs = p[vn + c], r[xn + sv]
+                        if lhs != rhs:
+                            if lhs is None:
+                                force(vn + c, rhs)
+                            elif rhs is None:
+                                force(xn + sv, lhs)
+                            else:
+                                raise _Conflict
+            for p, q, r in by_s:
+                for a in rng:
+                    qv = q[a * n + x]
+                    if qv is not None:
+                        lhs, rhs = p[qv * n + y], r[a * n + v]
+                        if lhs != rhs:
+                            if lhs is None:
+                                force(qv * n + y, rhs)
+                            elif rhs is None:
+                                force(a * n + v, lhs)
+                            else:
+                                raise _Conflict
+            for qcells, r, s in by_p:
+                for a, b in qcells[x]:
+                    sv = s[b * n + y]
+                    if sv is not None:
+                        rhs = r[a * n + sv]
+                        if rhs != v:
+                            if rhs is not None:
+                                raise _Conflict
+                            force(a * n + sv, v)
+            for p, q, scells in by_r:
+                for b, c in scells[y]:
+                    qv = q[xn + b]
+                    if qv is not None:
+                        lhs = p[qv * n + c]
+                        if lhs != v:
+                            if lhs is not None:
+                                raise _Conflict
+                            force(qv * n + c, v)
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            j = trail.pop()
+            pre[e[j]].pop()
+            e[j] = None
+
+    def fill(k: int) -> Iterator[OpTable]:
+        while k < size and e[k] is not None:
+            k += 1
+        if k == size:
+            yield OpTable(n, tuple(e))  # type: ignore[arg-type]
+            return
+        mark = len(trail)
+        for v in domain[k]:
+            try:
+                force(k, v)
+                propagate()
+            except _Conflict:
+                queue.clear()
+            else:
+                yield from fill(k + 1)
+            undo(mark)
+
+    yield from fill(0)
+
+
 def enumerate_semigroups(n: int, max_n: int = SEMIGROUP_ENUM_BOUND) -> Iterator[OpTable]:
     """All labeled associative tables on 0..n-1, exactly once each, in
-    lexicographic entry order.
+    lexicographic entry order: `_fill` with the one associativity binding,
+    the filled table in all four places.
 
-    Cells are filled row-major with every newly decidable associativity
-    instance checked immediately, so the search never expands a prefix that
-    already violates associativity; this is what makes n = 4 (3492 tables out
-    of 4^16 raw ones) feasible.
+    Every instance is tested as soon as its cells are set, and an instance
+    with one unset outer cell forces it, so the search never expands a prefix
+    that already violates associativity.  This is what makes n = 4 (3492
+    tables out of 4^16 raw ones) take a fraction of a second; n = 5 (183,732
+    tables) is reachable with max_n=5.  A generator: the size checks run on
+    first iteration.
     """
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"semigroup enumeration limited to n <= {max_n}")
-    size = n * n
-    e: list[Optional[int]] = [None] * size
-    rng = range(n)
-
-    def consistent(x: int, y: int, v: int) -> bool:
-        # associativity instances whose last undefined cell was (x, y), by the
-        # role that cell plays in the instance (a,b,c): (a,b), (b,c), (ab,c)
-        # or (a,bc); skip instances that still mention an undefined cell
-        for z in rng:
-            q = e[y * n + z]
-            if q is not None:
-                lhs = e[v * n + z]
-                rhs = e[x * n + q]
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    return False
-            p = e[z * n + x]
-            if p is not None:
-                lhs = e[p * n + y]
-                rhs = e[z * n + v]
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    return False
-        for a in rng:
-            an = a * n
-            for b in rng:
-                if e[an + b] == x:
-                    q = e[b * n + y]
-                    if q is not None:
-                        rhs = e[an + q]
-                        if rhs is not None and v != rhs:
-                            return False
-        xn = x * n
-        for b in rng:
-            bn = b * n
-            p = e[xn + b]
-            if p is None:
-                continue
-            pn = p * n
-            for c in rng:
-                if e[bn + c] == y:
-                    lhs = e[pn + c]
-                    if lhs is not None and lhs != v:
-                        return False
-        return True
-
-    def fill(k: int) -> Iterator[OpTable]:
-        if k == size:
-            yield OpTable(n, tuple(e))  # type: ignore[arg-type]
-            return
-        x, y = divmod(k, n)
-        for v in rng:
-            e[k] = v
-            if consistent(x, y, v):
-                yield from fill(k + 1)
-        e[k] = None
-
-    yield from fill(0)
+    yield from _fill(n, [(None, None, None, None)])
 
 
 def enumerate_semigroups_brute(n: int) -> Iterator[OpTable]:
@@ -160,105 +255,16 @@ def enumerate_dimonoids(n: int, max_n: int = DIMONOID_ENUM_BOUND) -> Iterator[Di
 
 def _right_tables(left: OpTable) -> Iterator[OpTable]:
     """Every right table that makes a dimonoid with the associative table
-    `left`, in lexicographic entry order.
+    `left`, in lexicographic entry order: `_fill` with the five axiom
+    bindings of AXIOM_BINDINGS, the left operation read from `left` and the
+    right one filled.
 
-    Cells are filled row-major.  (x <| y) <| z = x <| (y |> z) reads a single
-    right cell, so it fixes up front the values each cell may take.  When cell
-    (x, y) gets value v, every instance (a, b, c) of the other three right-table
-    identities in which (x, y) plays a role is tested, skipping instances that
-    still read an unset cell; each instance is thus decided when its last cell
-    is set.
+    Left associativity reads no right cell, so it is not tested.  The first
+    axiom (x <| y) <| z = x <| (y |> z) reads one right cell per instance, so
+    it limits up front the values each cell may take.
     """
-    n, le = left.n, left.entries
-    rng = range(n)
-    size = n * n
-    # the values cell (b, c) may take: (a <| b) <| c = a <| (b |> c) for all a,
-    # compared as whole columns a -> a <| t
-    column = [tuple(le[a * n + t] for a in rng) for t in rng]
-    allowed = []
-    for b in rng:
-        for c in rng:
-            target = tuple(le[le[a * n + b] * n + c] for a in rng)
-            allowed.append([v for v in rng if column[v] == target])
-    # left-table preimages: cells (a, b) with a <| b = t
-    lpre = [[divmod(j, n) for j in range(size) if le[j] == t] for t in rng]
-    e: list[Optional[int]] = [None] * size
-
-    def consistent(x: int, y: int, v: int) -> bool:
-        # instances (a, b, c) that read the new cell (x, y) = v, by its role;
-        # RA is right associativity (a |> b) |> c = a |> (b |> c), D2 is
-        # (a |> b) <| c = a |> (b <| c), D3 is (a <| b) |> c = a |> (b |> c)
-        xn, yn, vn = x * n, y * n, v * n
-        for z in rng:
-            # (a, b) = (x, y), c = z: RA and D2
-            q = e[yn + z]
-            if q is not None:
-                lhs = e[vn + z]
-                rhs = e[xn + q]
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    return False
-            rhs = e[xn + le[yn + z]]
-            if rhs is not None and le[vn + z] != rhs:
-                return False
-            # a = z, (b, c) = (x, y): RA and D3
-            zn = z * n
-            rhs = e[zn + v]
-            if rhs is not None:
-                p = e[zn + x]
-                if p is not None:
-                    lhs = e[p * n + y]
-                    if lhs is not None and lhs != rhs:
-                        return False
-                lhs = e[le[zn + x] * n + y]
-                if lhs is not None and lhs != rhs:
-                    return False
-        # a = x, b <| c = y: D2
-        for b, c in lpre[y]:
-            p = e[xn + b]
-            if p is not None and le[p * n + c] != v:
-                return False
-        # a <| b = x, c = y: D3
-        for a, b in lpre[x]:
-            q = e[b * n + y]
-            if q is not None:
-                rhs = e[a * n + q]
-                if rhs is not None and rhs != v:
-                    return False
-        for j in range(xn + y + 1):
-            w = e[j]
-            if w == x:
-                # a |> b = x, c = y: RA
-                a, b = divmod(j, n)
-                q = e[b * n + y]
-                if q is not None:
-                    rhs = e[a * n + q]
-                    if rhs is not None and rhs != v:
-                        return False
-            if w == y:
-                # a = x, b |> c = y: RA and D3
-                b, c = divmod(j, n)
-                p = e[xn + b]
-                if p is not None:
-                    lhs = e[p * n + c]
-                    if lhs is not None and lhs != v:
-                        return False
-                lhs = e[le[xn + b] * n + c]
-                if lhs is not None and lhs != v:
-                    return False
-        return True
-
-    def fill(k: int) -> Iterator[OpTable]:
-        if k == size:
-            yield OpTable(n, tuple(e))  # type: ignore[arg-type]
-            return
-        x, y = divmod(k, n)
-        for v in allowed[k]:
-            e[k] = v
-            if consistent(x, y, v):
-                yield from fill(k + 1)
-        e[k] = None
-
-    yield from fill(0)
+    t = {"l": left.entries, "r": None}
+    return _fill(left.n, [(t[p], t[q], t[r], t[s]) for p, q, r, s in AXIOM_BINDINGS])
 
 
 def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
@@ -347,40 +353,17 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     dual_of = [index[canonical_key(dual_dimonoid(d))] for d in reps]
     aut_orders = [automorphisms(d).order for d in reps]
     fact = factorial(n)
-
+    entries = [CatalogEntry(d, di_flags(d), len(halo(d)), aut, fact // aut, dual)
+               for d, aut, dual in zip(reps, aut_orders, dual_of)]
     if quotient == "iso":
-        return [
-            CatalogEntry(
-                canonical=reps[i],
-                flags=di_flags(reps[i]),
-                halo_size=len(halo(reps[i])),
-                aut_order=aut_orders[i],
-                labeled_count=fact // aut_orders[i],
-                dual_class_id=dual_of[i],
-            )
-            for i in range(len(keys))
-        ]
-
+        return entries
     merged: list[CatalogEntry] = []
-    seen: set[int] = set()
-    out_index = 0
-    for i in range(len(keys)):
-        if i in seen:
-            continue
-        j = dual_of[i]
-        seen.update({i, j})
-        labeled = fact // aut_orders[i]
-        if j != i:
-            labeled += fact // aut_orders[j]
-        merged.append(CatalogEntry(
-            canonical=reps[i],
-            flags=di_flags(reps[i]),
-            halo_size=len(halo(reps[i])),
-            aut_order=aut_orders[i],
-            labeled_count=labeled,
-            dual_class_id=out_index,
-        ))
-        out_index += 1
+    for i, entry in enumerate(entries):
+        j = entry.dual_class_id
+        if j < i:
+            continue  # merged into the entry of its dual class j
+        labeled = entry.labeled_count + (entries[j].labeled_count if j != i else 0)
+        merged.append(replace(entry, labeled_count=labeled, dual_class_id=len(merged)))
     return merged
 
 

@@ -42,6 +42,11 @@ from .tables import (
 
 AXIOM_NAMES = ("assoc_left", "assoc_right", "d1", "d2", "d3")
 
+# The five axioms in AXIOM_NAMES order, as the places (p, q, r, s) of the
+# identity (x q y) p z = x r (y s z) of tables.assoc_witness: "l" is <| and
+# "r" is |>.  The axiom report and the right-table enumerator both read it.
+AXIOM_BINDINGS = ("llll", "rrrr", "lllr", "lrrl", "rlrr")
+
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -77,12 +82,9 @@ class AxiomReport:
 
 def _axiom_witnesses(left: OpTable, right: OpTable) -> Iterator[Optional[Witness]]:
     """The five axiom witnesses in AXIOM_NAMES order, each computed on demand."""
-    le, re_, n = left.entries, right.entries, left.n
-    yield assoc_witness(le, le, le, le, n)
-    yield assoc_witness(re_, re_, re_, re_, n)
-    yield assoc_witness(le, le, le, re_, n)
-    yield assoc_witness(le, re_, re_, le, n)
-    yield assoc_witness(re_, le, re_, re_, n)
+    t = {"l": left.entries, "r": right.entries}
+    for p, q, r, s in AXIOM_BINDINGS:
+        yield assoc_witness(t[p], t[q], t[r], t[s], left.n)
 
 
 def _axiom_report(left: OpTable, right: OpTable) -> AxiomReport:

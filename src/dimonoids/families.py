@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import (
     ANotContainingA,
     BadFamilyParams,
+    BoundExceeded,
     CarrierTooSmall,
     EmptyA,
     EqualDistinguished,
@@ -26,6 +27,12 @@ FAMILIES = (
     "O", "O_A", "LO", "RO", "LO_tilde0", "RO_tilde0",
     "LOB", "ROB", "LO_arrow", "RO_arrow", "plus_zero",
 )
+
+# The largest carrier `build` constructs: a table holds carrier^2 entries, so
+# a larger request is refused before anything is allocated.  The families of
+# _ZERO_ADJOINED adjoin a zero at index n, so their carrier is n + 1.
+BUILD_BOUND = 256
+_ZERO_ADJOINED = frozenset({"LO_tilde0", "RO_tilde0", "plus_zero"})
 
 _REQUIRED = {
     "O": frozenset({"zero"}),
@@ -204,7 +211,8 @@ def build(params: FamilyParams) -> OpTable:
     """Dispatch a parameter record to its family constructor.
 
     Every table this returns is associative; the test suite verifies that
-    exhaustively rather than assuming it.
+    exhaustively rather than assuming it.  A carrier above BUILD_BOUND is
+    refused with BoundExceeded before any table is built.
     """
     fam = params.family
     if fam not in _REQUIRED:
@@ -215,6 +223,8 @@ def build(params: FamilyParams) -> OpTable:
             f"family {fam} takes exactly {sorted(_REQUIRED[fam])}, got {sorted(present)}"
         )
     n = params.n
+    if isinstance(n, int) and n + (fam in _ZERO_ADJOINED) > BUILD_BOUND:
+        raise BoundExceeded(f"build limited to carriers of at most {BUILD_BOUND} elements")
     if fam == "O":
         return null_sg(n, params.zero)
     if fam == "O_A":

@@ -3,8 +3,8 @@ predicates and element roles everything else is built on.
 
 Elements are the indices 0..n-1.  A table stores its entries row-major, so
 ``entries[x * n + y]`` is x * y with x the left operand.  All values are
-immutable after construction and every function here is pure, so tables can be
-shared freely between concurrent workers.
+immutable after construction and every function here is pure, so a table can
+be shared freely, for example as a cache key or a fixed place of an identity.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from dimonoids import (
     SizeMismatch,
     are_isomorphic,
     automorphisms,
+    axioms_ok,
     canonical_key,
     cases,
     classify,
@@ -30,7 +31,8 @@ from dimonoids import (
     save_catalog,
     semigroup_class,
 )
-from dimonoids.catalog import check_construction_case
+from dimonoids.catalog import _fill, check_construction_case
+from dimonoids.dimonoid import AXIOM_BINDINGS
 
 # counts produced by this package's own enumerators and cross-checked by the
 # brute-force route below; the order <= 3 numbers are frozen here on purpose
@@ -58,8 +60,10 @@ def test_order_four_semigroup_count():
 
 
 def test_enumeration_bounds():
+    # the size checks run on first iteration, not on the call
+    stream = enumerate_semigroups(5)
     with pytest.raises(BoundExceeded):
-        list(enumerate_semigroups(5))
+        next(stream)
     with pytest.raises(BoundExceeded):
         list(enumerate_semigroups_brute(4))
     with pytest.raises(BoundExceeded):
@@ -116,6 +120,27 @@ def test_order_four_dimonoid_counts(order_four):
     nonabelian = [i for i, e in enumerate(cat) if not e.flags.abelian]
     assert (len(cat) - len(nonabelian), len(nonabelian)) == (103, 631)
     assert sum(cat[i].dual_class_id == i for i in nonabelian) == 23
+
+
+def test_order_four_yield_order_is_pinned(order_four):
+    # SHA-256 over the entries of each table (or left then right table), in
+    # yield order
+    semigroups = b"".join(bytes(t.entries) for t in enumerate_semigroups(4))
+    assert hashlib.sha256(semigroups).hexdigest() == \
+        "d9c1e89ffd5eda52106e05031849e10dd19e0d50e181db6b0ad0986bb98e4f64"
+    dimonoids = b"".join(bytes(d.left.entries + d.right.entries) for d in order_four)
+    assert hashlib.sha256(dimonoids).hexdigest() == \
+        "9df06a0f08e42fb299b799f4e7c82d8e2726515b12d4288969891d4f714465f6"
+
+
+def test_fill_reads_any_binding_shape(semigroups):
+    # the left tables that pair with a fixed right table bind the filled
+    # table to other places than the right-table enumerator does
+    for n in (2, 3):
+        for right in semigroups[n]:
+            places = {"l": None, "r": right.entries}
+            lefts = _fill(n, [tuple(places[t] for t in b) for b in AXIOM_BINDINGS])
+            assert list(lefts) == [t for t in semigroups[n] if axioms_ok(t, right)]
 
 
 def test_order_four_trivial_dimonoids_are_the_semigroups(order_four):

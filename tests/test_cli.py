@@ -20,6 +20,7 @@ from dimonoids import (
     right_zero_sg,
 )
 from dimonoids.cli import main
+from dimonoids.families import BUILD_BOUND, build, make_params
 
 
 def run(capsys, *argv):
@@ -62,6 +63,17 @@ def test_build_rejects_non_int_size_exit_3(capsys):
         code, out, err = run(capsys, "build", "--json", doc)
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["code"] == "SizeMismatch"
+
+
+def test_build_refuses_carriers_above_the_bound_exit_3(capsys):
+    for argv in (("--family", "O", "--n", "1000000000", "--zero", "0"),
+                 ("--family", "LO", "--n", "100000"),
+                 # plus_zero adjoins a zero, so its carrier is n + 1
+                 ("--family", "plus_zero", "--n", str(BUILD_BOUND))):
+        code, out, err = run(capsys, "build", *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == "BoundExceeded"
+    assert build(make_params("plus_zero", BUILD_BOUND - 1)).n == BUILD_BOUND
 
 
 def test_usage_error_exit_2(capsys):
