@@ -95,13 +95,17 @@ def _fill(n: int, bindings: list[tuple]) -> Iterator[OpTable]:
     queue: list[int] = []  # set cells whose instances are still to be tested
     domain = [list(rng)] * size
     by_q, by_s, by_p, by_r = [], [], [], []
+    fixed_pre: dict[tuple, list[list[tuple[int, int]]]] = {}
 
     def cells(t):
+        # the preimage lists of a fixed table are built once per call
         if t is e:
             return pre
-        fixed: list[list[tuple[int, int]]] = [[] for _ in rng]
-        for j, u in enumerate(t):
-            fixed[u].append(rc[j])
+        fixed = fixed_pre.get(t)
+        if fixed is None:
+            fixed = fixed_pre[t] = [[] for _ in rng]
+            for j, u in enumerate(t):
+                fixed[u].append(rc[j])
         return fixed
 
     for binding in bindings:

@@ -4,6 +4,12 @@ Subcommands: build, verify, props, halo, aut, dual, iso, classify, suite.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success or a true
 analytical outcome, 1 a false analytical outcome (not isomorphic, axioms fail,
 shape mismatch, suite failures), 2 usage errors, 3 invalid input.
+
+Each process runs one subcommand, so this module imports only the table and
+dimonoid layers up front; a subcommand handler imports the rest of what it
+runs (`families` for build, `morphisms` for aut and iso, `catalog` for
+classify and suite).  Every JSON input is decoded by `_parse_json`, so a
+document nested too deeply to decode exits 3 like any other malformed one.
 """
 
 from __future__ import annotations
@@ -11,20 +17,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .catalog import classify, dumps_catalog, run_theorem_suite
-from .dimonoid import AXIOM_NAMES, DiTable, di_flags, dual_dimonoid, halo, naive_flip
-from .errors import DimonoidError
-from .families import FamilyParams, build
-from .morphisms import (
-    SymmetricProductSpec,
-    are_isomorphic,
-    automorphisms,
+from .dimonoid import (
+    AXIOM_NAMES,
+    DiTable,
     as_ditable,
-    matches_symmetric_product,
+    di_flags,
+    dual_dimonoid,
+    halo,
+    naive_flip,
 )
+from .errors import DimonoidError, FormatError
 from .tables import OpTable
+
+if TYPE_CHECKING:
+    from .morphisms import SymmetricProductSpec
 
 Structure = Union[OpTable, DiTable]
 
@@ -95,6 +103,14 @@ def _fail(code: str, message: str) -> None:
           file=sys.stderr)
 
 
+def _parse_json(text: str):
+    """Decode one JSON input; nesting too deep to decode is invalid input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise FormatError("JSON input is nested too deeply") from None
+
+
 def _load_structure(path: Optional[str], inline: Optional[str]) -> Structure:
     if inline is None and path is None:
         raise DimonoidError("no input: pass a file or --json")
@@ -105,7 +121,7 @@ def _load_structure(path: Optional[str], inline: Optional[str]) -> Structure:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    doc = json.loads(text)
+    doc = _parse_json(text)
     if isinstance(doc, dict) and "table" in doc:
         return OpTable.from_json(doc)
     return DiTable.from_json(doc)
@@ -140,6 +156,8 @@ def _parse_index_set(text: str) -> frozenset[int]:
 
 
 def _parse_spec(text: str) -> SymmetricProductSpec:
+    from .morphisms import SymmetricProductSpec
+
     fixed: frozenset[int] = frozenset()
     blocks: list[frozenset[int]] = []
     for part in text.split(";"):
@@ -157,8 +175,10 @@ def _parse_spec(text: str) -> SymmetricProductSpec:
 
 
 def _cmd_build(args) -> int:
+    from .families import FamilyParams, build
+
     if args.inline is not None:
-        params = FamilyParams.from_json(json.loads(args.inline))
+        params = FamilyParams.from_json(_parse_json(args.inline))
     else:
         if args.family is None or args.n is None:
             raise DimonoidError("build needs --family and --n (or --json)")
@@ -208,6 +228,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_aut(args) -> int:
+    from .morphisms import automorphisms, matches_symmetric_product
+
     d = as_ditable(_load_structure(args.file, args.inline))
     auts = automorphisms(d)
     doc = auts.to_json()
@@ -225,6 +247,8 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .morphisms import are_isomorphic
+
     a = _load_structure(args.file_a, None)
     b = _load_structure(args.file_b, None)
     ok = are_isomorphic(a, b)
@@ -233,6 +257,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .catalog import classify, dumps_catalog
+
     quotient = "iso" if args.quotient == "iso" else "iso_and_duality"
     entries = classify(args.n, quotient=quotient)
     text = dumps_catalog(entries)
@@ -247,6 +273,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .catalog import run_theorem_suite
+
     report = run_theorem_suite(args.n_max)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))

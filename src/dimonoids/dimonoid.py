@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     EmptySubset,
@@ -137,6 +137,11 @@ def pair(left: OpTable, right: OpTable) -> DiTable:
     if left.n != right.n:
         raise SizeMismatch(f"carrier sizes differ: {left.n} vs {right.n}")
     return DiTable(left, right)
+
+
+def as_ditable(s: Union[OpTable, DiTable]) -> DiTable:
+    """Wrap a bare table as the trivial dimonoid; pass dimonoids through."""
+    return s if isinstance(s, DiTable) else pair(s, s)
 
 
 def check_axioms(d: DiTable) -> AxiomReport:

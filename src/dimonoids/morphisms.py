@@ -20,7 +20,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .dimonoid import DiTable, pair
+from .dimonoid import DiTable, as_ditable, pair
 from .errors import BadPartition, BoundExceeded, IndexOutOfRange, NotADimonoid, SizeMismatch
 from .tables import OpTable
 
@@ -74,11 +74,6 @@ class Permutation:
 def all_permutations(n: int) -> Iterator[Permutation]:
     for images in _permutations(range(n)):
         yield Permutation(images)
-
-
-def as_ditable(s: Union[OpTable, DiTable]) -> DiTable:
-    """Wrap a bare table as the trivial dimonoid; pass dimonoids through."""
-    return s if isinstance(s, DiTable) else pair(s, s)
 
 
 def relabel_table(t: OpTable, p: Permutation) -> OpTable:

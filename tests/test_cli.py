@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -253,17 +254,73 @@ def test_json_output_is_byte_stable(capsys, tmp_path):
     assert len(outputs) == 1
 
 
-def test_cli_import_does_not_load_multiprocessing():
-    # classify runs in one process, so neither the import nor a classify
-    # pays for multiprocessing
+def _python(script: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports this checkout's package."""
     src = str(Path(dimonoids.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import dimonoids.cli, sys\n"
-         "dimonoids.cli.classify(3)\n"
-         "assert dimonoids.cli.main(['classify', '--n', '2']) == 0\n"
-         "print('multiprocessing' in sys.modules, file=sys.stderr)"],
-        env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, check=True)
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # classify runs in one process, so neither the import nor a classify
+    # pays for multiprocessing
+    out = _python(
+        "import dimonoids.cli, sys\n"
+        "dimonoids.classify(3)\n"
+        "assert dimonoids.cli.main(['classify', '--n', '2']) == 0\n"
+        "print('multiprocessing' in sys.modules, file=sys.stderr)")
     assert out.stderr.strip().splitlines()[-1] == "False"
+
+
+def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(pair(left_zero_sg(3), right_zero_sg(3)).to_json()))
+    out = _python(f"""
+import contextlib, io, json, sys
+import dimonoids.cli
+
+def loaded():
+    return sorted(k for k in sys.modules if k.startswith("dimonoids"))
+
+seen = {{"import": loaded()}}
+for argv in (["verify", {str(path)!r}], ["aut", {str(path)!r}], ["classify", "--n", "2"]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert dimonoids.cli.main(argv) == 0
+    seen[argv[0]] = loaded()
+seen["classify_out"] = buf.getvalue()
+print(json.dumps(seen))
+""")
+    seen = json.loads(out.stdout)
+    core = ["dimonoids", "dimonoids.cli", "dimonoids.dimonoid", "dimonoids.errors",
+            "dimonoids.tables"]
+    assert seen["import"] == seen["verify"] == core
+    assert "dimonoids.morphisms" in seen["aut"]
+    assert "dimonoids.catalog" not in seen["aut"]
+    assert "dimonoids.catalog" in seen["classify"]
+    assert seen["classify_out"] == dumps_catalog(classify(2))
+
+
+def test_public_names_are_the_defining_modules_objects():
+    # the package resolves each name lazily from the module that defines it
+    assert len(dimonoids.__all__) == 96
+    assert set(dimonoids.__all__) <= set(dir(dimonoids))
+    for name in dimonoids.__all__:
+        module = importlib.import_module(f"dimonoids.{dimonoids._MODULE_OF[name]}")
+        value = getattr(dimonoids, name)
+        assert value is getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__
+    assert dimonoids.morphisms.as_ditable is dimonoids.dimonoid.as_ditable
+    assert not hasattr(dimonoids, "no_such_name")
+
+
+def test_deeply_nested_json_is_input_error_exit_3(capsys, tmp_path):
+    deep = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for argv in (["verify", str(path)], ["build", "--json", deep]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == "FormatError"
