@@ -232,18 +232,15 @@ def _cmd_aut(args) -> int:
 
     d = as_ditable(_load_structure(args.file, args.inline))
     auts = automorphisms(d)
-    doc = auts.to_json()
-    code = 0
+    result = {"order": auts.order}
     if args.spec:
-        spec = _parse_spec(args.spec)
-        ok = matches_symmetric_product(auts, spec)
-        doc["matches_spec"] = ok
-        code = 0 if ok else 1
-    text = f"order: {doc['order']}"
-    if "matches_spec" in doc:
-        text += f"\nmatches_spec: {doc['matches_spec']}"
-    _emit(doc, args.format, text)
-    return code
+        result["matches_spec"] = matches_symmetric_product(auts, _parse_spec(args.spec))
+    if args.format == "json":
+        # only the JSON document lists the members of the group
+        _emit({**auts.to_json(), **result}, args.format)
+    else:
+        print("\n".join(f"{k}: {v}" for k, v in result.items()))
+    return 0 if result.get("matches_spec", True) else 1
 
 
 def _cmd_iso(args) -> int:

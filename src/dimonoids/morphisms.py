@@ -2,9 +2,14 @@
 automorphism sets matched against products of symmetric groups, and
 lexicographic canonical forms.
 
-One backtracking search, _isomorphisms, lists the isomorphisms between two
-structures of at most SEARCH_BOUND elements; automorphisms collects all of
-them from a structure to itself and are_isomorphic stops at the first.
+One backtracking search, _IsoSearch, finds the first isomorphism between two
+structures of at most SEARCH_BOUND elements that extends a fixed prefix of
+images.  are_isomorphic runs it once from the empty prefix.  automorphisms
+runs it once per orbit of each level of a stabilizer chain and returns the
+group as an AutSet: one coset representative per orbit point and level, the
+order as the product of the transversal sizes, and the member set expanded
+only when asked for.  matches_symmetric_product checks the order and the
+generators, never the members.
 
 Every function here also accepts a bare OpTable where a dimonoid is expected,
 treating it as the trivial dimonoid whose two operations coincide; that makes
@@ -18,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations as _permutations
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .dimonoid import DiTable, as_ditable, pair
 from .errors import BadPartition, BoundExceeded, IndexOutOfRange, NotADimonoid, SizeMismatch
@@ -38,6 +43,8 @@ class Permutation:
     @classmethod
     def of(cls, images: Sequence[int]) -> "Permutation":
         imgs = tuple(images)
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in imgs):
+            raise IndexOutOfRange(f"images must be ints, not bools: {imgs!r}")
         if sorted(imgs) != list(range(len(imgs))):
             raise IndexOutOfRange(f"{imgs!r} is not a bijection of 0..{len(imgs) - 1}")
         return cls(imgs)
@@ -143,22 +150,72 @@ def check_morphism(src: Union[OpTable, DiTable], dst: Union[OpTable, DiTable],
     return MorphismCheck(hom, iso)
 
 
-@dataclass(frozen=True)
 class AutSet:
-    """The full automorphism set of a structure.  Iterates in sorted order so
-    downstream output is deterministic."""
+    """An automorphism group as a stabilizer chain (Seress, Permutation Group
+    Algorithms, 2003) along a base b_0..b_{n-1}.
 
-    perms: frozenset[Permutation]
+    transversals[k] maps each point v of the orbit of b_k under G_k, the
+    subgroup that fixes b_0..b_{k-1} pointwise, to one member of G_k taking
+    b_k to v: one representative per coset of G_{k+1} in G_k.  Every member is
+    exactly one product t_0 . t_1 . ... . t_{n-1} of representatives, one per
+    level, so the order is the product of the transversal sizes and the
+    non-identity representatives generate the group.  The member set `perms`
+    is expanded from those products on first access; iteration is in sorted
+    order, so downstream output is deterministic.
+    """
+
+    __slots__ = ("n", "base", "transversals", "_perms")
+
+    def __init__(self, n: int, base: Sequence[int],
+                 transversals: Sequence[dict[int, Permutation]],
+                 perms: Optional[frozenset[Permutation]] = None):
+        self.n = n
+        self.base = tuple(base)
+        self.transversals = tuple(transversals)
+        # the member set, expanded on first access unless already listed
+        self._perms = perms
 
     @property
     def order(self) -> int:
-        return len(self.perms)
+        out = 1
+        for reps in self.transversals:
+            out *= len(reps)
+        return out
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        """The non-identity coset representatives, level by level."""
+        identity = Permutation.identity(self.n)
+        return tuple(t for reps in self.transversals
+                     for _, t in sorted(reps.items()) if t != identity)
+
+    @property
+    def perms(self) -> frozenset[Permutation]:
+        if self._perms is None:
+            members = [tuple(range(self.n))]
+            for reps in reversed(self.transversals):
+                if len(reps) > 1:
+                    members = [tuple(map(t.images.__getitem__, h))
+                               for t in reps.values() for h in members]
+            self._perms = frozenset(map(Permutation, members))
+        return self._perms
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(sorted(self.perms))
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.perms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AutSet):
+            return NotImplemented
+        return self.n == other.n and self.perms == other.perms
+
+    def __hash__(self) -> int:
+        return hash(self.perms)
+
+    def __repr__(self) -> str:
+        return f"AutSet(n={self.n}, order={self.order})"
 
     def is_group(self) -> bool:
         """Identity present, closed under composition and inverse."""
@@ -172,7 +229,8 @@ class AutSet:
         )
 
     def to_json(self) -> dict:
-        # simplest faithful encoding: the generators are the whole set
+        # wire format: "generators" lists every member, sorted, not the
+        # generating set of the property of that name
         return {"order": self.order, "generators": [p.to_json() for p in self]}
 
 
@@ -194,78 +252,158 @@ def _element_signatures(d: DiTable) -> list[tuple]:
     return sigs
 
 
-def _isomorphisms(d1: DiTable, d2: DiTable) -> Iterator[Permutation]:
-    """Every isomorphism d1 -> d2 of two structures of equal size.
+class _IsoSearch:
+    """The isomorphism search from d1 to d2, two structures of equal size,
+    planned once and then run from any fixed prefix.
 
     Individualize-and-check backtracking: the elements of d1 take images in
-    turn, those with the fewest candidates first, and each element's
-    candidates are the elements of d2 with the same role profile.  Each
-    product x*y = p of either table is checked exactly once, at the level
+    the order of `base`, those with the fewest candidates first, and each
+    element's candidates are the elements of d2 with the same role profile.
+    Each product x*y = p of either table is checked exactly once, at the level
     where the last of x, y, p gets its image, so a node checks only what it
     newly decides and a leaf is a full isomorphism.
     """
-    n = d1.n
-    if n > SEARCH_BOUND:
-        raise BoundExceeded(f"isomorphism search limited to n <= {SEARCH_BOUND}, got {n}")
-    sig1 = _element_signatures(d1)
-    sig2 = sig1 if d2 is d1 else _element_signatures(d2)
-    if sorted(sig1) != sorted(sig2):
-        return
-    candidates = [[v for v in range(n) if sig2[v] == s] for s in sig1]
-    order = sorted(range(n), key=lambda x: len(candidates[x]))
-    level = [0] * n
-    for k, x in enumerate(order):
-        level[x] = k
-    # checks[k]: (target rows, x, y, x*y) for the products decided at level k
-    checks: list[list] = [[] for _ in range(n)]
-    for src, dst in ((d1.left, d2.left), (d1.right, d2.right)):
-        e, rows = src.entries, dst.rows()
-        for x in range(n):
-            for y in range(n):
-                p = e[x * n + y]
-                checks[max(level[x], level[y], level[p])].append((rows, x, y, p))
-    images = [-1] * n
-    used = [False] * n
 
-    def extend(k: int) -> Iterator[Permutation]:
-        x = order[k]
-        for v in candidates[x]:
-            if used[v]:
-                continue
+    def __init__(self, d1: DiTable, d2: DiTable):
+        n = self.n = d1.n
+        if n > SEARCH_BOUND:
+            raise BoundExceeded(f"isomorphism search limited to n <= {SEARCH_BOUND}, got {n}")
+        sig1 = _element_signatures(d1)
+        sig2 = sig1 if d2 is d1 else _element_signatures(d2)
+        if sorted(sig1) == sorted(sig2):
+            self.candidates = [[v for v in range(n) if sig2[v] == s] for s in sig1]
+        else:
+            self.candidates = [[] for _ in range(n)]
+        self.base = sorted(range(n), key=lambda x: len(self.candidates[x]))
+        # level[x]: the position of x in base
+        self.level = level = [0] * n
+        for k, x in enumerate(self.base):
+            level[x] = k
+        # checks[k]: (target rows, x, y, x*y) for the products decided at level k;
+        # conditional expressions, not max(), since this runs 2n^2 times a plan
+        self.checks: list[list] = [[] for _ in range(n)]
+        cells = [(x, y, lx if lx > ly else ly)
+                 for x, lx in enumerate(level) for y, ly in enumerate(level)]
+        for src, dst in ((d1.left, d2.left), (d1.right, d2.right)):
+            rows = dst.rows()
+            for (x, y, k), p in zip(cells, src.entries):
+                lp = level[p]
+                self.checks[k if k > lp else lp].append((rows, x, y, p))
+
+    def first(self, prefix: Sequence[int]) -> Optional[Permutation]:
+        """The first isomorphism, in search order, that maps base[k] to
+        prefix[k] for every k < len(prefix); None if there is none."""
+        n, base, candidates, checks = self.n, self.base, self.candidates, self.checks
+        images = [-1] * n
+        used = [False] * n
+        for x, v in zip(base, prefix):
+            if used[v] or v not in candidates[x]:
+                return None
             images[x] = v
-            for rows, a, b, p in checks[k]:
+            used[v] = True
+        for decided in checks[:len(prefix)]:
+            for rows, a, b, p in decided:
                 if rows[images[a]][images[b]] != images[p]:
-                    break
-            else:
-                if k + 1 == n:
-                    yield Permutation(tuple(images))
+                    return None
+
+        def extend(k: int) -> bool:
+            if k == n:
+                return True
+            x = base[k]
+            for v in candidates[x]:
+                if used[v]:
+                    continue
+                images[x] = v
+                for rows, a, b, p in checks[k]:
+                    if rows[images[a]][images[b]] != images[p]:
+                        break
                 else:
                     used[v] = True
-                    yield from extend(k + 1)
+                    if extend(k + 1):
+                        return True
                     used[v] = False
+            return False
 
-    yield from extend(0)
+        return Permutation(tuple(images)) if extend(len(prefix)) else None
+
+
+def _join_orbits(orbit: list[int], g: Permutation) -> None:
+    """Merge the orbit labels of every point and its image under g."""
+    for x, y in enumerate(g.images):
+        keep, drop = orbit[x], orbit[y]
+        if keep != drop:
+            for i, label in enumerate(orbit):
+                if label == drop:
+                    orbit[i] = keep
 
 
 def automorphisms(structure: Union[OpTable, DiTable]) -> AutSet:
-    """All permutations that are isomorphisms of the structure onto itself,
-    found by the isomorphism search from the structure to itself.  The result
-    equals the full n!-scan of automorphisms_brute (asserted in the tests).
-    Limited to n <= SEARCH_BOUND."""
+    """The automorphism group as a stabilizer chain along the search's base.
+
+    Levels are filled from the deepest up, so on reaching level k the
+    automorphisms found so far generate G_{k+1}.  With b_0..b_{k-1} fixed,
+    one search runs per candidate image v of b_k, and only while these
+    generators (with those level k has added) put v neither in the orbit of
+    b_k nor in an orbit known to fail: a generator taking v to w turns a
+    member of G_k taking b_k to one of them into one taking b_k to the other,
+    so an orbit succeeds or fails as a whole (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014).  The transversal of level k is read off
+    the generators from b_k.  The result equals the full n!-scan of
+    automorphisms_brute (asserted in the tests).  Limited to
+    n <= SEARCH_BOUND."""
     d = as_ditable(structure)
     if not d.is_dimonoid:
         raise NotADimonoid(f"axioms fail: {d.axiom_status.failures()}")
-    return AutSet(frozenset(_isomorphisms(d, d)))
+    search = _IsoSearch(d, d)
+    n, base = d.n, search.base
+    identity = Permutation.identity(n)
+    gens: list[Permutation] = []
+    orbit = list(range(n))  # orbit label of each point under gens
+    transversals: list[dict[int, Permutation]] = []  # deepest level first
+    for k in reversed(range(n)):
+        b = base[k]
+        failed: list[int] = []
+        for v in search.candidates[b]:
+            if (search.level[v] < k or orbit[v] == orbit[b]
+                    or any(orbit[v] == orbit[f] for f in failed)):
+                continue  # v is fixed, reached already, or known to fail
+            g = search.first([*base[:k], v])
+            if g is None:
+                failed.append(v)
+            else:
+                gens.append(g)
+                _join_orbits(orbit, g)
+        reps = {b: identity}
+        reached = [b]
+        for u in reached:
+            for g in gens:
+                w = g.images[u]
+                if w not in reps:
+                    reps[w] = g.compose(reps[u])
+                    reached.append(w)
+        transversals.append(reps)
+    return AutSet(n, base, transversals[::-1])
 
 
 def automorphisms_brute(structure: Union[OpTable, DiTable]) -> AutSet:
-    """Reference implementation: filter all n! permutations."""
+    """Reference implementation: filter all n! permutations.  The chain is
+    read off the listed members along the base 0..n-1."""
     d = as_ditable(structure)
     if not d.is_dimonoid:
         raise NotADimonoid(f"axioms fail: {d.axiom_status.failures()}")
-    return AutSet(frozenset(
-        p for p in all_permutations(d.n) if check_morphism(d, d, p).isomorphism
-    ))
+    n = d.n
+    perms = frozenset(
+        p for p in all_permutations(n) if check_morphism(d, d, p).isomorphism
+    )
+    members = sorted(perms)
+    transversals = []
+    for k in range(n):
+        reps: dict[int, Permutation] = {}
+        for p in members:
+            if p.images[:k] == tuple(range(k)):
+                reps.setdefault(p.images[k], p)
+        transversals.append(reps)
+    return AutSet(n, range(n), transversals, perms)
 
 
 @dataclass(frozen=True)
@@ -305,17 +443,18 @@ def _prod_factorials(blocks: tuple[frozenset[int], ...]) -> int:
 
 
 def matches_symmetric_product(auts: AutSet, spec: SymmetricProductSpec) -> bool:
-    """True iff the automorphism set is exactly the block-preserving group:
-    every member fixes the fixed points and maps each block onto itself, and
-    the order equals the product of the block factorials.  Because the
-    block-preserving permutations form a group of exactly that order, order
-    equality plus membership gives set equality."""
+    """True iff the automorphism group is exactly the block-preserving group:
+    its order equals the product of the block factorials and each of its
+    generators fixes the fixed points and maps each block onto itself.  The
+    block-preserving permutations form a group of exactly that order, so a
+    generating set inside it with the same order generates all of it.  A
+    spec that partitions a carrier of another size raises SizeMismatch."""
     n = spec.carrier_size()
+    if n != auts.n:
+        raise SizeMismatch(f"spec partitions 0..{n - 1}, the structure has {auts.n} elements")
     if auts.order != spec.order:
         return False
-    for p in auts.perms:
-        if p.n != n:
-            return False
+    for p in auts.generators:
         img = p.images
         if any(img[f] != f for f in spec.fixed):
             return False
@@ -389,4 +528,4 @@ def are_isomorphic(d1: Union[OpTable, DiTable], d2: Union[OpTable, DiTable]) -> 
     d2 = as_ditable(d2)
     if d1.n != d2.n:
         return False
-    return next(_isomorphisms(d1, d2), None) is not None
+    return _IsoSearch(d1, d2).first(()) is not None

@@ -154,6 +154,31 @@ def test_props_halo_dual_aut(capsys, tmp_path):
     assert code == 1 and json.loads(out)["matches_spec"] is False
 
 
+def test_aut_spec_over_another_carrier_is_input_error_exit_3(capsys):
+    doc = json.dumps(pair(left_zero_sg(2), right_zero_sg(2)).to_json())
+    for spec in ("fixed=0,1,2;blocks=", "fixed=;blocks=0,1,2"):
+        for fmt in ("json", "table"):
+            code, out, err = run(capsys, "aut", "--json", doc, "--spec", spec,
+                                 "--format", fmt)
+            assert code == 3 and out == ""
+            assert json.loads(err)["error"]["code"] == "SizeMismatch"
+
+
+def test_aut_table_format_does_not_list_the_group(capsys, monkeypatch):
+    from dimonoids.morphisms import AutSet
+
+    def listed(self):
+        raise AssertionError("the member set was expanded")
+
+    monkeypatch.setattr(AutSet, "perms", property(listed))
+    doc = json.dumps(left_zero_sg(8).to_json())
+    code, out, _ = run(capsys, "aut", "--json", doc, "--format", "table")
+    assert (code, out) == (0, "order: 40320\n")
+    code, out, _ = run(capsys, "aut", "--json", doc, "--format", "table",
+                       "--spec", "fixed=;blocks=0,1,2,3,4,5,6,7")
+    assert (code, out) == (0, "order: 40320\nmatches_spec: True\n")
+
+
 def test_props_on_non_dimonoid_is_input_error(capsys, tmp_path):
     bad = naive_flip(pair(left_zero_sg(2), right_zero_sg(2)))
     path = tmp_path / "bad.json"

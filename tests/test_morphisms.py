@@ -12,6 +12,7 @@ from dimonoids import (
     SizeMismatch,
     SymmetricProductSpec,
     adjoin_zero_di,
+    all_cases,
     all_permutations,
     as_ditable,
     are_isomorphic,
@@ -21,6 +22,7 @@ from dimonoids import (
     canonical_key,
     cases,
     check_morphism,
+    classify,
     di_flags,
     dual_dimonoid,
     enumerate_dimonoids_backtracking,
@@ -49,6 +51,15 @@ def test_permutation_basics():
     assert Permutation.from_json(p.to_json()) == p
     with pytest.raises(IndexOutOfRange):
         Permutation.of([0, 0, 1])
+
+
+def test_permutation_images_must_be_ints():
+    for images in ([True, False], [0.0, 1], [1, 0.0], [False]):
+        with pytest.raises(IndexOutOfRange):
+            Permutation.of(images)
+    with pytest.raises(IndexOutOfRange):
+        Permutation.from_json({"images": [True, False]})
+    assert Permutation.of([1, 0]).images == (1, 0)
 
 
 def test_identity_is_an_isomorphism():
@@ -128,6 +139,56 @@ def test_pruned_search_equals_brute_force(catalogs):
         assert automorphisms(d).perms == automorphisms_brute(d).perms
 
 
+def _chain_matches_brute_force(d):
+    chain, brute = automorphisms(d), automorphisms_brute(d)
+    return chain.order == len(brute.perms) and chain.perms == brute.perms
+
+
+def test_chain_equals_brute_force_on_class_representatives(catalogs):
+    reps = [e.canonical for n in (1, 2, 3) for e in catalogs[n]]
+    four = [e.canonical for e in classify(4, max_n=4)]
+    assert (len(reps), len(four)) == (61, 734)
+    for d in reps + four:
+        assert _chain_matches_brute_force(d), d.to_json()
+
+
+def test_chain_equals_brute_force_on_construction_cases():
+    checked = [case for case in all_cases(5) if case.dimonoid.n <= 5]
+    assert len(checked) > 500
+    for case in checked:
+        assert _chain_matches_brute_force(case.dimonoid), case.describe()
+
+
+def _closure(n, gens):
+    """The group generated by gens, by closing under composition."""
+    members = {Permutation.identity(n)}
+    frontier = list(members)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = g.compose(p)
+            if q not in members:
+                members.add(q)
+                frontier.append(q)
+    return members
+
+
+def test_chain_generators_generate_the_group():
+    for d in _assorted_structures():
+        auts = automorphisms(d)
+        assert Permutation.identity(d.n) not in auts.generators
+        assert _closure(d.n, auts.generators) == auts.perms
+
+
+def test_chain_of_the_full_symmetric_group_is_small():
+    auts = automorphisms(left_zero_sg(8))
+    assert auts.order == factorial(8)
+    assert len(auts.generators) <= 28
+    assert matches_symmetric_product(auts, SymmetricProductSpec.of((), [range(8)]))
+    # neither the order nor the shape check lists the 40,320 members
+    assert auts._perms is None
+
+
 def test_autsets_are_groups():
     for d in _assorted_structures(max_n=4):
         assert automorphisms(d).is_group()
@@ -163,6 +224,14 @@ def test_matches_symmetric_product_validates_partition():
         matches_symmetric_product(auts, SymmetricProductSpec.of({0}, [{0, 1}]))
     with pytest.raises(BadPartition):
         matches_symmetric_product(auts, SymmetricProductSpec.of({0}, [{2}]))
+
+
+def test_matches_symmetric_product_refuses_a_spec_of_another_size():
+    auts = automorphisms(pair(left_zero_sg(2), right_zero_sg(2)))
+    for spec in (SymmetricProductSpec.of({0, 1, 2}, []),
+                 SymmetricProductSpec.of((), [{0, 1, 2}])):
+        with pytest.raises(SizeMismatch):
+            matches_symmetric_product(auts, spec)
 
 
 def test_canonical_form_of_left_right_zero_pair_is_fixed():

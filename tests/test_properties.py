@@ -8,11 +8,14 @@ from dimonoids import (
     OpTable,
     Permutation,
     adjoin_zero,
+    all_cases,
+    automorphisms,
     axioms_ok,
     canonical_key,
     check_axioms,
     dual_table,
     element_roles,
+    enumerate_dimonoids_backtracking,
     is_associative,
     naive_flip,
     pair,
@@ -182,3 +185,19 @@ def test_commutativity_flags_equal_cellwise_reference(t):
 def test_identity_witnesses_equal_cellwise_reference(t):
     assert right_commutative_witness(t) == _reference_rc(t)
     assert rectangular_witness(t) == _reference_rect(t)
+
+
+# construction cases with carriers up to 5, and every labeled dimonoid of order 3
+SMALL_DIMONOIDS = ([case.dimonoid for case in all_cases(4)]
+                   + list(enumerate_dimonoids_backtracking(3)))
+
+
+@given(st.sampled_from(SMALL_DIMONOIDS), st.randoms(use_true_random=False))
+def test_relabeling_conjugates_the_automorphism_group(d, rnd):
+    images = list(range(d.n))
+    rnd.shuffle(images)
+    p = Permutation.of(images)
+    auts = automorphisms(d)
+    moved = automorphisms(relabel_dimonoid(d, p))
+    assert moved.order == auts.order
+    assert moved.perms == {p.compose(g).compose(p.inverse()) for g in auts.perms}
