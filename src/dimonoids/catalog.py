@@ -4,7 +4,10 @@ persistence, and the consolidated structural-theorem verification suite.
 
 Both enumerators run on one backtracking engine, `_fill`: semigroups against
 associativity, and the right tables of a left table against the axiom
-bindings of `dimonoid.AXIOM_BINDINGS`.  Enumeration is deterministic: tables
+bindings of `dimonoid.AXIOM_BINDINGS`.  The labeled dimonoid stream fills the
+right tables once per semigroup class, for its least relabeled left table,
+and relabels them onto every labeled left table of the class; `classify`
+visits only those least left tables.  Enumeration is deterministic: tables
 are emitted in lexicographic order of their entry tuples, and catalogs are
 sorted by canonical form, so a catalog's bytes depend only on its order and
 quotient.
@@ -16,6 +19,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import product
 from math import factorial
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .constructions import CONSTRUCTION_NAMES, ConstructionCase, cases
@@ -43,9 +47,13 @@ from .families import (
     subsets,
 )
 from .morphisms import (
+    Permutation,
+    _cached_left_minimizers,
     automorphisms,
     canonical_key,
+    check_morphism,
     matches_symmetric_product,
+    relabel_table,
 )
 from .tables import (
     OpTable,
@@ -250,7 +258,7 @@ def enumerate_dimonoids(n: int, max_n: int = DIMONOID_ENUM_BOUND) -> Iterator[Di
     enumerate_dimonoids_backtracking."""
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    sgs = list(enumerate_semigroups(n))
+    sgs = list(enumerate_semigroups(n, max_n))
     for left in sgs:
         for right in sgs:
             if axioms_ok(left, right):
@@ -273,13 +281,27 @@ def _right_tables(left: OpTable) -> Iterator[OpTable]:
 
 def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
                                      ) -> Iterator[DiTable]:
-    """All labeled dimonoids of order n, built right table by right table for
-    each labeled semigroup on the left (see `_right_tables`).  The primary
-    route; yields exactly the sequence of enumerate_dimonoids."""
+    """All labeled dimonoids of order n, each labeled semigroup on the left
+    with its right tables in lexicographic entry order.  The primary route;
+    yields exactly the sequence of enumerate_dimonoids.
+
+    A relabeling p is an isomorphism from (L, R) to (p(L), p(R)), so the right
+    tables of a left table L are p^-1 applied to those of p(L).  The right
+    tables are filled (see `_right_tables`) once per semigroup class, for its
+    least relabeled left table L0, and each labeled L takes them relabeled by
+    the inverse of a p with p(L) = L0.
+    """
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    for left in enumerate_semigroups(n):
-        for right in _right_tables(left):
+    filled: dict[tuple[int, ...], list[OpTable]] = {}
+    for left in enumerate_semigroups(n, max_n):
+        least, _, images = _cached_left_minimizers(n, left.entries)
+        rights = filled.get(least)
+        if rights is None:
+            rights = filled[least] = list(_right_tables(OpTable(n, least)))
+        back = Permutation(images).inverse()
+        for right in sorted((relabel_table(r, back) for r in rights),
+                            key=attrgetter("entries")):
             yield pair(left, right)
 
 
@@ -349,7 +371,7 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"classification limited to n <= {max_n}")
-    lefts = {OpTable(n, canonical_key(t)[0]) for t in enumerate_semigroups(n)}
+    lefts = {OpTable(n, canonical_key(t)[0]) for t in enumerate_semigroups(n, max_n)}
     keys = sorted({canonical_key(pair(left, right))
                    for left in lefts for right in _right_tables(left)})
     index = {key: i for i, key in enumerate(keys)}
@@ -611,7 +633,11 @@ def _duality_records(catalogs: dict[int, list[CatalogEntry]]) -> list[TheoremRec
             dual = dual_dimonoid(d)
             if halo(dual) != halo(d):
                 inv_failures.append(f"n={k} class {idx}: halo changes under duality")
-            if automorphisms(dual).perms != automorphisms(d).perms:
+            # equal orders and Aut(dual) generated inside Aut(d) make them equal
+            dual_auts = automorphisms(dual)
+            if (dual_auts.order != automorphisms(d).order
+                    or not all(check_morphism(d, d, g).isomorphism
+                               for g in dual_auts.generators)):
                 inv_failures.append(f"n={k} class {idx}: Aut changes under duality")
             flags = di_flags(d)
             dual_pairish = d.right == dual_table(d.left)

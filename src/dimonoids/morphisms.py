@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as _permutations
+from itertools import islice, permutations as _permutations
 from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -489,12 +489,16 @@ def _relabelings(n: int) -> tuple[Relabeling, ...]:
 # in a row, so a small cache serves most calls.
 @lru_cache(maxsize=256)
 def _cached_left_minimizers(n: int, left: tuple[int, ...]
-                            ) -> tuple[tuple[int, ...], tuple[Relabeling, ...]]:
-    """The least relabeled left table and the relabelings that reach it."""
+                            ) -> tuple[tuple[int, ...], tuple[Relabeling, ...],
+                                       tuple[int, ...]]:
+    """The least relabeled left table, the relabelings that reach it, and the
+    image tuple of the first of them in the order of _relabelings."""
     relabelings = _relabelings(n)
     parts = [tuple(map(img, cells(left))) for img, cells in relabelings]
     best = min(parts)
-    return best, tuple(r for r, part in zip(relabelings, parts) if part == best)
+    # _relabelings lists the permutations of 0..n-1 in lexicographic order
+    first = next(islice(_permutations(range(n)), parts.index(best), None))
+    return best, tuple(r for r, part in zip(relabelings, parts) if part == best), first
 
 
 def canonical_key(d: Union[OpTable, DiTable]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -506,7 +510,7 @@ def canonical_key(d: Union[OpTable, DiTable]) -> tuple[tuple[int, ...], tuple[in
     n = d.n
     if n > CANONICAL_BOUND:
         raise BoundExceeded(f"canonical form limited to n <= {CANONICAL_BOUND}, got {n}")
-    best_left, minimizers = _cached_left_minimizers(n, d.left.entries)
+    best_left, minimizers, _ = _cached_left_minimizers(n, d.left.entries)
     re_ = d.right.entries
     return best_left, min(tuple(map(img, cells(re_))) for img, cells in minimizers)
 

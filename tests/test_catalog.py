@@ -1,9 +1,12 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
+import dimonoids.catalog as catalog
 from dimonoids import (
     BoundExceeded,
     CatalogEntry,
@@ -31,7 +34,7 @@ from dimonoids import (
     save_catalog,
     semigroup_class,
 )
-from dimonoids.catalog import _fill, check_construction_case
+from dimonoids.catalog import _fill, _right_tables, check_construction_case
 from dimonoids.dimonoid import AXIOM_BINDINGS
 
 # counts produced by this package's own enumerators and cross-checked by the
@@ -76,6 +79,24 @@ def test_enumeration_bounds():
         run_theorem_suite(7)
     with pytest.raises(BoundExceeded):
         run_theorem_suite(0)
+
+
+def test_max_n_reaches_the_semigroup_stream(monkeypatch):
+    # a caller's max_n bounds the semigroups under the dimonoids too, so
+    # order 5 needs no other setting
+    d = next(enumerate_dimonoids_backtracking(5, max_n=5))
+    assert d.n == 5 and d.is_dimonoid
+    bounds = []
+    stream = catalog.enumerate_semigroups
+
+    def recorded(n, max_n):
+        bounds.append(max_n)
+        return stream(n, max_n)
+
+    monkeypatch.setattr(catalog, "enumerate_semigroups", recorded)
+    list(enumerate_dimonoids(2, max_n=2))
+    classify(2, max_n=2)
+    assert bounds == [2, 2]
 
 
 def test_enumeration_rejects_non_int_sizes():
@@ -131,6 +152,33 @@ def test_order_four_yield_order_is_pinned(order_four):
     dimonoids = b"".join(bytes(d.left.entries + d.right.entries) for d in order_four)
     assert hashlib.sha256(dimonoids).hexdigest() == \
         "9df06a0f08e42fb299b799f4e7c82d8e2726515b12d4288969891d4f714465f6"
+
+
+def test_order_four_stream_equals_the_direct_fill(order_four):
+    # the direct route: fill the right tables of every labeled left table;
+    # the stream fills them per semigroup class and relabels
+    by_left = [(left, [d.right for d in group])
+               for left, group in groupby(order_four, key=attrgetter("left"))]
+    assert [left for left, _ in by_left] == list(enumerate_semigroups(4))
+    for left, rights in by_left:
+        assert rights == list(_right_tables(left))
+
+
+def test_stream_fills_right_tables_once_per_semigroup_class(monkeypatch):
+    filled = []
+
+    def counted(left):
+        filled.append(left)
+        return _right_tables(left)
+
+    monkeypatch.setattr(catalog, "_right_tables", counted)
+    for n, classes in ((3, 24), (4, 188)):
+        filled.clear()
+        for _ in enumerate_dimonoids_backtracking(n, max_n=4):
+            pass
+        assert len(filled) == len(set(filled)) == classes
+        # each is the least relabeled left table of its class
+        assert all(canonical_key(t)[0] == t.entries for t in filled)
 
 
 def test_fill_reads_any_binding_shape(semigroups):

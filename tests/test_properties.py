@@ -16,12 +16,15 @@ from dimonoids import (
     dual_table,
     element_roles,
     enumerate_dimonoids_backtracking,
+    enumerate_semigroups,
     is_associative,
     naive_flip,
     pair,
     relabel_dimonoid,
+    relabel_table,
     semigroup_class,
 )
+from dimonoids.catalog import _right_tables
 from dimonoids.tables import rectangular_witness, right_commutative_witness
 
 
@@ -201,3 +204,18 @@ def test_relabeling_conjugates_the_automorphism_group(d, rnd):
     moved = automorphisms(relabel_dimonoid(d, p))
     assert moved.order == auts.order
     assert moved.perms == {p.compose(g).compose(p.inverse()) for g in auts.perms}
+
+
+# every labeled semigroup of order <= 4
+SMALL_SEMIGROUPS = [t for n in (1, 2, 3, 4) for t in enumerate_semigroups(n)]
+
+
+@given(st.sampled_from(SMALL_SEMIGROUPS), st.randoms(use_true_random=False))
+def test_right_tables_are_relabeling_covariant(left, rnd):
+    # a relabeling is an isomorphism of dimonoids, so it carries the right
+    # tables of a left table onto those of the relabeled left table
+    images = list(range(left.n))
+    rnd.shuffle(images)
+    p = Permutation.of(images)
+    assert {relabel_table(r, p) for r in _right_tables(left)} == \
+        set(_right_tables(relabel_table(left, p)))
