@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, replace
 from itertools import product
 from math import factorial
-from operator import attrgetter
 from typing import Iterator, Optional
 
 from .constructions import CONSTRUCTION_NAMES, ConstructionCase, cases
@@ -47,13 +46,11 @@ from .families import (
     subsets,
 )
 from .morphisms import (
-    Permutation,
-    _cached_left_minimizers,
+    _least_left,
     automorphisms,
     canonical_key,
     check_morphism,
     matches_symmetric_product,
-    relabel_table,
 )
 from .tables import (
     OpTable,
@@ -289,19 +286,20 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     tables of a left table L are p^-1 applied to those of p(L).  The right
     tables are filled (see `_right_tables`) once per semigroup class, for its
     least relabeled left table L0, and each labeled L takes them relabeled by
-    the inverse of a p with p(L) = L0.
+    the inverse of a p with p(L) = L0.  L0 and p come from the orbit index of
+    `morphisms`, which scans the relabelings of one left table per class, so
+    the canonical_key of a streamed dimonoid finds its left table indexed.
     """
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    filled: dict[tuple[int, ...], list[OpTable]] = {}
+    filled: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for left in enumerate_semigroups(n, max_n):
-        least, _, images = _cached_left_minimizers(n, left.entries)
+        least, back = _least_left(n, left.entries)
         rights = filled.get(least)
         if rights is None:
-            rights = filled[least] = list(_right_tables(OpTable(n, least)))
-        back = Permutation(images).inverse()
-        for right in sorted((relabel_table(r, back) for r in rights),
-                            key=attrgetter("entries")):
+            rights = filled[least] = [r.entries for r in _right_tables(OpTable(n, least))]
+        # built in one batch, so that each later next() costs only a pair()
+        for right in [OpTable(n, r) for r in sorted(map(back, rights))]:
             yield pair(left, right)
 
 
@@ -359,7 +357,8 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     relabeled) left table of its semigroup class: relabel any member by a
     permutation that minimizes its left table.  So the class keys are the
     canonical keys of the dimonoids over the canonical left tables, one per
-    semigroup class, and no other labeled dimonoid is visited.
+    semigroup class, read from the orbit index of `morphisms`, and no other
+    labeled dimonoid is visited.
 
     Entries are sorted by their canonical tables.  labeled_count is n!/|Aut|
     per orbit-stabilizer (the tests reconcile it against direct counting).
@@ -371,7 +370,8 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"classification limited to n <= {max_n}")
-    lefts = {OpTable(n, canonical_key(t)[0]) for t in enumerate_semigroups(n, max_n)}
+    least_lefts = {_least_left(n, t.entries)[0] for t in enumerate_semigroups(n, max_n)}
+    lefts = [OpTable(n, entries) for entries in least_lefts]
     keys = sorted({canonical_key(pair(left, right))
                    for left in lefts for right in _right_tables(left)})
     index = {key: i for i, key in enumerate(keys)}

@@ -11,6 +11,12 @@ order as the product of the transversal sizes, and the member set expanded
 only when asked for.  matches_symmetric_product checks the order and the
 generators, never the members.
 
+canonical_key is an n! scan up to CANONICAL_BOUND, done once per semigroup
+class: the scan of one left table relabels it onto every table of its class,
+and an orbit index keeps, for each of them, the least table L0 of the class
+with Aut(L0) and one relabeling onto L0.  The labeled dimonoid stream and
+classify read the same index.
+
 Every function here also accepts a bare OpTable where a dimonoid is expected,
 treating it as the trivial dimonoid whose two operations coincide; that makes
 the same machinery usable for plain semigroups.
@@ -467,52 +473,121 @@ def matches_symmetric_product(auts: AutSet, spec: SymmetricProductSpec) -> bool:
 Relabeling = tuple[Callable[[int], int], Callable[[tuple[int, ...]], tuple[int, ...]]]
 
 
+class _SymmetricGroup(NamedTuple):
+    """S_n with its members numbered in the lexicographic order of their image
+    tuples, the order of itertools.permutations, so index 0 is the identity."""
+
+    # every member p as a relabeling: the gather reads the old cells in the
+    # relabeled table's cell order, so the relabeled entries are
+    # tuple(map(image, gather(entries))), as relabel_table would build them
+    relabelings: tuple[Relabeling, ...]
+    # after[s][g]: the index of g . s, the relabeling by s and then by g
+    after: tuple[tuple[int, ...], ...]
+    # inverse[s]: the index of s^-1
+    inverse: tuple[int, ...]
+
+
 @lru_cache(maxsize=CANONICAL_BOUND)
-def _relabelings(n: int) -> tuple[Relabeling, ...]:
-    """Every relabeling p of 0..n-1 as (image lookup, source-cell gather): the
-    gather reads the old cells in the relabeled table's cell order, so the
-    relabeled entries are tuple(map(image, gather(entries))), as relabel_table
-    would build them.  Built once per n on first use."""
+def _symmetric_group(n: int) -> _SymmetricGroup:
+    """S_n as relabelings, product table and inverses; built once per n on
+    first use."""
     rng = range(n)
-    out = []
-    for img in _permutations(rng):
+    members = list(_permutations(rng))
+    index = {img: i for i, img in enumerate(members)}
+    relabelings = []
+    inverse = []
+    for img in members:
         inv = [0] * n
         for x, v in enumerate(img):
             inv[v] = x
+        inverse.append(index[tuple(inv)])
         cells = [inv[i] * n + inv[j] for i in rng for j in rng]
         # itemgetter of a single index returns the entry, not a 1-tuple
-        out.append((img.__getitem__, itemgetter(*cells) if n > 1 else tuple))
-    return tuple(out)
+        relabelings.append((img.__getitem__, itemgetter(*cells) if n > 1 else tuple))
+    after = tuple(tuple(index[tuple(g[v] for v in s)] for g in members) for s in members)
+    return _SymmetricGroup(tuple(relabelings), after, tuple(inverse))
 
 
-# Enumeration streams and classify produce all right tables of one left table
-# in a row, so a small cache serves most calls.
-@lru_cache(maxsize=256)
-def _cached_left_minimizers(n: int, left: tuple[int, ...]
-                            ) -> tuple[tuple[int, ...], tuple[Relabeling, ...],
-                                       tuple[int, ...]]:
-    """The least relabeled left table, the relabelings that reach it, and the
-    image tuple of the first of them in the order of _relabelings."""
-    relabelings = _relabelings(n)
+# The orbit index: each left table T met so far, mapped to its class record
+# (L0, Aut(L0)) and the first s with s(T) = L0.  L0 is the least relabeled
+# table of T's class and Aut(L0) lists the indices g with g(L0) = L0 into
+# _symmetric_group(n); the relabelings s with s(T) = L0 are then exactly the
+# g . s for g in Aut(L0).  One n! scan fills the entries of a whole class.
+# The bound, counted in tables, is above the 183,732 labeled semigroups of
+# order 5, so a stream or classify at order <= 5 never clears the index.
+ORBIT_INDEX_BOUND = 1 << 18
+# ((L0, Aut(L0)), s): the class record, shared by the class, and s
+_OrbitEntry = tuple[tuple[tuple[int, ...], tuple[int, ...]], int]
+_orbit_index: dict[tuple[int, ...], _OrbitEntry] = {}
+
+
+def _scan_left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
+    """Relabel `left` by every member of S_n and index every image it takes,
+    clearing the index first when the images would not fit under
+    ORBIT_INDEX_BOUND.  Returns the entry of `left`."""
+    relabelings, after, inverse = _symmetric_group(n)
     parts = [tuple(map(img, cells(left))) for img, cells in relabelings]
-    best = min(parts)
-    # _relabelings lists the permutations of 0..n-1 in lexicographic order
-    first = next(islice(_permutations(range(n)), parts.index(best), None))
-    return best, tuple(r for r, part in zip(relabelings, parts) if part == best), first
+    least = min(parts)
+    minimizers = [s for s, part in enumerate(parts) if part == least]
+    after_first_inv = after[inverse[minimizers[0]]]
+    record = (least, tuple(after_first_inv[m] for m in minimizers))
+    # T = s(left) is taken to L0 by m . s^-1 for each minimizer m of left;
+    # the identity comes first, so the entry of `left` leads the orbit
+    orbit: dict[tuple[int, ...], _OrbitEntry] = {}
+    for s, part in enumerate(parts):
+        if part not in orbit:
+            after_s_inv = after[inverse[s]]
+            orbit[part] = (record, min(after_s_inv[m] for m in minimizers))
+    if len(_orbit_index) + len(orbit) > ORBIT_INDEX_BOUND:
+        _orbit_index.clear()
+    _orbit_index.update(islice(orbit.items(), ORBIT_INDEX_BOUND))
+    return orbit[left]
+
+
+def _left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
+    """((L0, Aut(L0)), s) for the left table `left`: its least relabeled table,
+    the automorphisms of that as indices into _symmetric_group(n), and the
+    index of the first relabeling s, in lexicographic order, with
+    s(left) = L0.  Read from the orbit index, scanning on a miss."""
+    entry = _orbit_index.get(left)
+    return _scan_left_orbit(n, left) if entry is None else entry
+
+
+def _least_left(n: int, left: tuple[int, ...]
+                ) -> tuple[tuple[int, ...], Callable[[tuple[int, ...]], tuple[int, ...]]]:
+    """The least relabeled table L0 of the left table `left`, and the
+    relabeling of entry tuples by s^-1 for the first s with s(left) = L0: it
+    carries the right tables of L0 onto those of `left`."""
+    (least, _), first = _left_orbit(n, left)
+    group = _symmetric_group(n)
+    img, cells = group.relabelings[group.inverse[first]]
+    return least, lambda entries: tuple(map(img, cells(entries)))
 
 
 def canonical_key(d: Union[OpTable, DiTable]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lexicographically least (left entries, right entries) over all
     relabelings; the comparison key behind canonical_form.  The left part
     decides first, so the right part is minimized only over the relabelings
-    that give the least left part.  Limited to n <= CANONICAL_BOUND."""
+    that give the least left part L0: the g . s for g in Aut(L0), with s and
+    Aut(L0) read from the orbit index, which scans all n! relabelings only
+    for the first left table it meets of each semigroup class.  Limited to
+    n <= CANONICAL_BOUND."""
     d = as_ditable(d)
     n = d.n
     if n > CANONICAL_BOUND:
         raise BoundExceeded(f"canonical form limited to n <= {CANONICAL_BOUND}, got {n}")
-    best_left, minimizers, _ = _cached_left_minimizers(n, d.left.entries)
+    (best_left, aut), first = _left_orbit(n, d.left.entries)
+    relabelings, after, _ = _symmetric_group(n)
+    after_first = after[first]
     re_ = d.right.entries
-    return best_left, min(tuple(map(img, cells(re_))) for img, cells in minimizers)
+    # a plain loop: min() over a comprehension costs about 0.5 us more a call
+    best_right = None
+    for g in aut:
+        img, cells = relabelings[after_first[g]]
+        right = tuple(map(img, cells(re_)))
+        if best_right is None or right < best_right:
+            best_right = right
+    return best_left, best_right
 
 
 def canonical_form(d: Union[OpTable, DiTable]) -> DiTable:

@@ -26,6 +26,7 @@ from dimonoids import (
     di_flags,
     dual_dimonoid,
     enumerate_dimonoids_backtracking,
+    enumerate_semigroups,
     left_zero_sg,
     lo_arrow,
     lo_arrow_pair,
@@ -41,7 +42,8 @@ from dimonoids import (
     relabel_table,
     right_zero_sg,
 )
-from dimonoids.morphisms import SEARCH_BOUND, _cached_left_minimizers
+from dimonoids import morphisms
+from dimonoids.morphisms import SEARCH_BOUND
 
 
 def test_permutation_basics():
@@ -396,17 +398,78 @@ def test_canonical_key_matches_reference_on_order_four_semigroups(order_four):
         assert canonical_key(t) == reference_key(t)
 
 
-def test_canonical_key_matches_reference_on_order_four_sample(order_four):
-    # whole runs of one left table, in stream order, so repeats hit the
-    # left-table cache
+def count_scans(monkeypatch):
+    """Start from an empty orbit index and list the tables it scans."""
+    scans = []
+    scan = morphisms._scan_left_orbit
+
+    def counted(n, left):
+        scans.append(left)
+        return scan(n, left)
+
+    monkeypatch.setattr(morphisms, "_orbit_index", {})
+    monkeypatch.setattr(morphisms, "_scan_left_orbit", counted)
+    return scans
+
+
+def test_canonical_key_matches_reference_on_order_four_sample(order_four, monkeypatch):
+    # whole runs of one left table, in stream order; the orbit index scans
+    # one left table per semigroup class and serves every other from it
     runs = [list(run) for _, run in groupby(order_four, key=lambda d: d.left)]
     assert len(runs) == 3492
     picked = sorted(random.Random(4).sample(range(len(runs)), 300))
-    _cached_left_minimizers.cache_clear()
+    scans = count_scans(monkeypatch)
     sample = [d for i in picked for d in runs[i]]
     for d in sample:
         assert canonical_key(d) == reference_key(d)
-    assert _cached_left_minimizers.cache_info().hits == len(sample) - len(picked)
+    classes = {reference_key(runs[i][0].left)[0] for i in picked}
+    assert len(scans) == len(classes) < len(picked)
+
+
+def reference_minimizers(t):
+    """The least relabeled table and every permutation reaching it, in
+    lexicographic order, by the n! scan."""
+    parts = [(relabel_table(t, p).entries, p) for p in all_permutations(t.n)]
+    least = min(part for part, _ in parts)
+    return least, [p for part, p in parts if part == least]
+
+
+def test_orbit_index_matches_the_scan_of_every_semigroup(monkeypatch):
+    # one scan per semigroup class (A027851); every other labeled table's
+    # entry is filled from the scan of another member of its class
+    scans = count_scans(monkeypatch)
+    for n, classes, labeled in ((1, 1, 1), (2, 5, 8), (3, 24, 113), (4, 188, 3492)):
+        members = list(all_permutations(n))
+        after = morphisms._symmetric_group(n).after
+        records = set()
+        for t in enumerate_semigroups(n, max_n=4):
+            record, first = morphisms._left_orbit(n, t.entries)
+            least, aut = record
+            ref_least, ref_minimizers = reference_minimizers(t)
+            assert least == ref_least
+            assert sorted(members[after[first][g]] for g in aut) == ref_minimizers
+            assert members[first] == ref_minimizers[0]
+            records.add(record)
+        assert len(records) == classes
+        assert len(scans) == classes
+        # orbit-stabilizer: the classes hold n!/|Aut(L0)| labeled tables each
+        assert sum(factorial(n) // len(aut) for _, aut in records) == labeled
+        scans.clear()
+
+
+@pytest.mark.parametrize("bound", [10, 60])
+def test_orbit_index_stays_within_its_bound(order_four, bound, monkeypatch):
+    # orbits of up to 24 tables: a bound of 10 cuts them, one of 60 clears
+    # the index every few scans
+    monkeypatch.setattr(morphisms, "ORBIT_INDEX_BOUND", bound)
+    scans = count_scans(monkeypatch)
+    sizes = []
+    for d in order_four[::40]:
+        assert canonical_key(d) == reference_key(d)
+        sizes.append(len(morphisms._orbit_index))
+    assert max(sizes) <= bound
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert len(scans) > 188
 
 
 def left_ties(t):
