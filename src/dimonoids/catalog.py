@@ -7,15 +7,17 @@ associativity, and the right tables of a left table against the axiom
 bindings of `dimonoid.AXIOM_BINDINGS`.  The labeled dimonoid stream fills the
 right tables once per semigroup class, for its least relabeled left table,
 and relabels them onto every labeled left table of the class; `classify`
-visits only those least left tables.  Enumeration is deterministic: tables
-are emitted in lexicographic order of their entry tuples, and catalogs are
-sorted by canonical form, so a catalog's bytes depend only on its order and
-quotient.
+visits only those least left tables, and reads the labeled count and the
+automorphism order of each class off how many labeled left tables and right
+tables reach its key.  Enumeration is deterministic: tables are emitted in
+lexicographic order of their entry tuples, and catalogs are sorted by
+canonical form, so a catalog's bytes depend only on its order and quotient.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import product
 from math import factorial
@@ -360,27 +362,36 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     semigroup class, read from the orbit index of `morphisms`, and no other
     labeled dimonoid is visited.
 
-    Entries are sorted by their canonical tables.  labeled_count is n!/|Aut|
-    per orbit-stabilizer (the tests reconcile it against direct counting).
-    Under the iso_and_duality quotient, each nonabelian class is merged with
-    its dual class and every entry is its own dual class.
+    The same pass counts each class.  The labeled members of the class of
+    d = (L0, R) are its relabelings; their left tables are the lefts[L0]
+    labeled tables of L0's semigroup class, and those whose left table is L0
+    itself are the (L0, g(R)) for g in Aut(L0), rights[key] of them, since the
+    right part of the key is the least g(R).  So labeled_count is
+    lefts[L0] * rights[key], and aut_order is n!/labeled_count by
+    orbit-stabilizer; no automorphism search runs (the tests reconcile both
+    against direct counting and the search).
+
+    Entries are sorted by their canonical tables.  Under the iso_and_duality
+    quotient, each nonabelian class is merged with its dual class and every
+    entry is its own dual class.
     """
     if quotient not in QUOTIENTS:
         raise ValueError(f"quotient must be one of {QUOTIENTS}")
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"classification limited to n <= {max_n}")
-    least_lefts = {_least_left(n, t.entries)[0] for t in enumerate_semigroups(n, max_n)}
-    lefts = [OpTable(n, entries) for entries in least_lefts]
-    keys = sorted({canonical_key(pair(left, right))
-                   for left in lefts for right in _right_tables(left)})
+    lefts = Counter(_least_left(n, t.entries)[0] for t in enumerate_semigroups(n, max_n))
+    rights = Counter(canonical_key(pair(left, right))
+                     for left in [OpTable(n, kl) for kl in lefts]
+                     for right in _right_tables(left))
+    keys = sorted(rights)
     index = {key: i for i, key in enumerate(keys)}
     reps = [pair(OpTable(n, kl), OpTable(n, kr)) for kl, kr in keys]
     dual_of = [index[canonical_key(dual_dimonoid(d))] for d in reps]
-    aut_orders = [automorphisms(d).order for d in reps]
+    counts = [lefts[kl] * rights[kl, kr] for kl, kr in keys]
     fact = factorial(n)
-    entries = [CatalogEntry(d, di_flags(d), len(halo(d)), aut, fact // aut, dual)
-               for d, aut, dual in zip(reps, aut_orders, dual_of)]
+    entries = [CatalogEntry(d, di_flags(d), len(halo(d)), fact // count, count, dual)
+               for d, count, dual in zip(reps, counts, dual_of)]
     if quotient == "iso":
         return entries
     merged: list[CatalogEntry] = []
@@ -633,9 +644,10 @@ def _duality_records(catalogs: dict[int, list[CatalogEntry]]) -> list[TheoremRec
             dual = dual_dimonoid(d)
             if halo(dual) != halo(d):
                 inv_failures.append(f"n={k} class {idx}: halo changes under duality")
-            # equal orders and Aut(dual) generated inside Aut(d) make them equal
+            # the searched Aut(dual) has the order classify counted for d and
+            # is generated inside Aut(d): the two groups are equal
             dual_auts = automorphisms(dual)
-            if (dual_auts.order != automorphisms(d).order
+            if (dual_auts.order != entry.aut_order
                     or not all(check_morphism(d, d, g).isomorphism
                                for g in dual_auts.generators)):
                 inv_failures.append(f"n={k} class {idx}: Aut changes under duality")

@@ -27,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations as _permutations
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .dimonoid import DiTable, as_ditable, pair
-from .errors import BadPartition, BoundExceeded, IndexOutOfRange, NotADimonoid, SizeMismatch
+from .dimonoid import DiTable, _require_dimonoid, as_ditable, pair
+from .errors import BadPartition, BoundExceeded, IndexOutOfRange, SizeMismatch
 from .tables import OpTable
 
 CANONICAL_BOUND = 5
@@ -358,8 +358,7 @@ def automorphisms(structure: Union[OpTable, DiTable]) -> AutSet:
     automorphisms_brute (asserted in the tests).  Limited to
     n <= SEARCH_BOUND."""
     d = as_ditable(structure)
-    if not d.is_dimonoid:
-        raise NotADimonoid(f"axioms fail: {d.axiom_status.failures()}")
+    _require_dimonoid(d)
     search = _IsoSearch(d, d)
     n, base = d.n, search.base
     identity = Permutation.identity(n)
@@ -395,8 +394,7 @@ def automorphisms_brute(structure: Union[OpTable, DiTable]) -> AutSet:
     """Reference implementation: filter all n! permutations.  The chain is
     read off the listed members along the base 0..n-1."""
     d = as_ditable(structure)
-    if not d.is_dimonoid:
-        raise NotADimonoid(f"axioms fail: {d.axiom_status.failures()}")
+    _require_dimonoid(d)
     n = d.n
     perms = frozenset(
         p for p in all_permutations(n) if check_morphism(d, d, p).isomorphism
@@ -438,14 +436,7 @@ class SymmetricProductSpec:
 
     @property
     def order(self) -> int:
-        return _prod_factorials(self.blocks)
-
-
-def _prod_factorials(blocks: tuple[frozenset[int], ...]) -> int:
-    out = 1
-    for b in blocks:
-        out *= factorial(len(b))
-    return out
+        return prod(factorial(len(b)) for b in self.blocks)
 
 
 def matches_symmetric_product(auts: AutSet, spec: SymmetricProductSpec) -> bool:

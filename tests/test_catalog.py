@@ -1,7 +1,7 @@
 import hashlib
 import json
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, product
 from operator import attrgetter
 
 import pytest
@@ -137,6 +137,8 @@ def test_order_four_dimonoid_counts(order_four):
     # give exactly its classes and counts
     cat = classify(4, max_n=4)
     assert {canonical_key(e.canonical): e.labeled_count for e in cat} == per_key
+    # classify counts |Aut| without searching; the search must agree
+    assert all(e.aut_order == automorphisms(e.canonical).order for e in cat)
     # the labeled duality pairing at order 4
     nonabelian = [i for i, e in enumerate(cat) if not e.flags.abelian]
     assert (len(cat) - len(nonabelian), len(nonabelian)) == (103, 631)
@@ -189,6 +191,23 @@ def test_fill_reads_any_binding_shape(semigroups):
             places = {"l": None, "r": right.entries}
             lefts = _fill(n, [tuple(places[t] for t in b) for b in AXIOM_BINDINGS])
             assert list(lefts) == [t for t in semigroups[n] if axioms_ok(t, right)]
+    # every left table at n = 2, associative or not, against the four bindings
+    # that read the right table; a forced value can then fall outside the
+    # domain that the first axiom leaves a cell
+    tables = [OpTable(2, e) for e in product(range(2), repeat=4)]
+    bindings = [b for b in AXIOM_BINDINGS if "r" in b]
+    rng = range(2)
+    for left in tables:
+        places = {"l": left.entries, "r": None}
+        rights = _fill(2, [tuple(places[t] for t in b) for b in bindings])
+
+        def holds(right):
+            t = {"l": left.entries, "r": right.entries}
+            return all(t[p][t[q][a * 2 + b] * 2 + c] == t[r][a * 2 + t[s][b * 2 + c]]
+                       for p, q, r, s in bindings
+                       for a in rng for b in rng for c in rng)
+
+        assert list(rights) == [t for t in tables if holds(t)]
 
 
 def test_order_four_trivial_dimonoids_are_the_semigroups(order_four):
@@ -305,6 +324,17 @@ CATALOG_DIGESTS = {
 
 
 def test_catalog_bytes_are_pinned():
+    for (n, quotient), digest in CATALOG_DIGESTS.items():
+        text = dumps_catalog(classify(n, quotient, max_n=4))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
+
+
+def test_classify_runs_no_automorphism_search(monkeypatch):
+    # |Aut| and the labeled counts come from counting the classify pass
+    def refuse(structure):
+        raise AssertionError("classify searched for automorphisms")
+
+    monkeypatch.setattr(catalog, "automorphisms", refuse)
     for (n, quotient), digest in CATALOG_DIGESTS.items():
         text = dumps_catalog(classify(n, quotient, max_n=4))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)

@@ -64,6 +64,12 @@ def test_build_rejects_non_int_size_exit_3(capsys):
         code, out, err = run(capsys, "build", "--json", doc)
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["code"] == "SizeMismatch"
+    # no family at all, from the flags or from the document
+    for argv, error in ((("build",), "DimonoidError"),
+                        (("build", "--json", '{"n": 2}'), "BadFamilyParams")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == error
 
 
 def test_build_refuses_carriers_above_the_bound_exit_3(capsys):
@@ -117,6 +123,12 @@ def test_verify_rejects_garbage_exit_3(capsys):
                        json.dumps({"n": 2, "left": [[0, 0], [1, 1]], "right": [[5, 0], [1, 1]]}))
     assert code == 3
     assert json.loads(err)["error"]["code"] == "IndexOutOfRange"
+    # no input at all, and a document with no tables
+    for argv, error in ((("verify",), "DimonoidError"),
+                        (("verify", "--json", '{"n": 2}'), "SizeMismatch")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == error
 
 
 def test_verify_rejects_boolean_size_exit_3(capsys):
@@ -156,12 +168,15 @@ def test_props_halo_dual_aut(capsys, tmp_path):
 
 def test_aut_spec_over_another_carrier_is_input_error_exit_3(capsys):
     doc = json.dumps(pair(left_zero_sg(2), right_zero_sg(2)).to_json())
-    for spec in ("fixed=0,1,2;blocks=", "fixed=;blocks=0,1,2"):
+    # the last spec names no part a spec has
+    for spec, error in (("fixed=0,1,2;blocks=", "SizeMismatch"),
+                        ("fixed=;blocks=0,1,2", "SizeMismatch"),
+                        ("bogus=1", "DimonoidError")):
         for fmt in ("json", "table"):
             code, out, err = run(capsys, "aut", "--json", doc, "--spec", spec,
                                  "--format", fmt)
             assert code == 3 and out == ""
-            assert json.loads(err)["error"]["code"] == "SizeMismatch"
+            assert json.loads(err)["error"]["code"] == error
 
 
 def test_aut_table_format_does_not_list_the_group(capsys, monkeypatch):

@@ -218,6 +218,15 @@ def test_matches_symmetric_product_rejects_wrong_blocks():
     # right shape: fix the anchor, permute the rest of A and the complement
     assert matches_symmetric_product(
         auts, SymmetricProductSpec.of({0}, [{1}, {2, 3}]))
+    # Aut = <(2 3)>: specs of the right order whose generator check fails, one
+    # on a fixed point it moves and one on a block it does not keep
+    auts = automorphisms(lob_pair(4, 0, 1))
+    assert auts.order == 2
+    for spec in (SymmetricProductSpec.of({0, 2}, [{1, 3}]),
+                 SymmetricProductSpec.of({0}, [{1, 2}, {3}])):
+        assert spec.order == 2
+        assert not matches_symmetric_product(auts, spec)
+    assert matches_symmetric_product(auts, SymmetricProductSpec.of({0, 1}, [{2, 3}]))
 
 
 def test_matches_symmetric_product_validates_partition():
