@@ -8,7 +8,9 @@ shape mismatch, suite failures), 2 usage errors, 3 invalid input.
 Each process runs one subcommand, so this module imports only the table and
 dimonoid layers up front; a subcommand handler imports the rest of what it
 runs (`families` for build, `morphisms` for aut and iso, `catalog` for
-classify and suite).  Every JSON input is decoded by `_parse_json`, so a
+classify and suite).  The records of those layers are NamedTuples and a
+slotted DiTable, so no subcommand but classify and suite imports
+`dataclasses`.  Every JSON input is decoded by `_parse_json`, so a
 document nested too deeply to decode exits 3 like any other malformed one.
 """
 
@@ -20,7 +22,6 @@ import sys
 from typing import TYPE_CHECKING, Optional, Union
 
 from .dimonoid import (
-    AXIOM_NAMES,
     DiTable,
     as_ditable,
     di_flags,
@@ -200,7 +201,7 @@ def _cmd_verify(args) -> int:
     report = d.axiom_status
     text = _render_ditable(d) + "\n" + "\n".join(
         f"{name}: " + ("ok" if w is None else f"witness {w}")
-        for name, w in ((k, getattr(report, k)) for k in AXIOM_NAMES))
+        for name, w in report._asdict().items())
     _emit(report.to_json(), args.format, text)
     return 0 if report.all_ok else 1
 

@@ -15,9 +15,7 @@ has failures, to keep classification meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     EmptySubset,
@@ -40,16 +38,14 @@ from .tables import (
     right_commutative_witness,
 )
 
-AXIOM_NAMES = ("assoc_left", "assoc_right", "d1", "d2", "d3")
-
-# The five axioms in AXIOM_NAMES order, as the places (p, q, r, s) of the
-# identity (x q y) p z = x r (y s z) of tables.assoc_witness: "l" is <| and
-# "r" is |>.  The axiom report and the right-table enumerator both read it.
+# The five axioms in the field order of AxiomReport, as the places
+# (p, q, r, s) of the identity (x q y) p z = x r (y s z) of
+# tables.assoc_witness: "l" is <| and "r" is |>.  The axiom report and the
+# right-table enumerator both read it.
 AXIOM_BINDINGS = ("llll", "rrrr", "lllr", "lrrl", "rlrr")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Per-axiom outcome: None means the axiom holds; otherwise the first
     violating triple in scan order x, then y, then z."""
 
@@ -61,27 +57,20 @@ class AxiomReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(getattr(self, name) is None for name in AXIOM_NAMES)
+        return all(w is None for w in self)
 
     def failures(self) -> dict[str, Witness]:
         """Every failing axiom with its witness."""
-        out = {}
-        for name in AXIOM_NAMES:
-            w = getattr(self, name)
-            if w is not None:
-                out[name] = w
-        return out
+        return {name: w for name, w in self._asdict().items() if w is not None}
 
     def to_json(self) -> dict:
-        doc = {}
-        for name in AXIOM_NAMES:
-            w = getattr(self, name)
-            doc[name] = "ok" if w is None else {"witness": list(w)}
-        return doc
+        return {name: "ok" if w is None else {"witness": list(w)}
+                for name, w in self._asdict().items()}
 
 
 def _axiom_witnesses(left: OpTable, right: OpTable) -> Iterator[Optional[Witness]]:
-    """The five axiom witnesses in AXIOM_NAMES order, each computed on demand."""
+    """The five axiom witnesses in AxiomReport field order, each computed on
+    demand."""
     t = {"l": left.entries, "r": right.entries}
     for p, q, r, s in AXIOM_BINDINGS:
         yield assoc_witness(t[p], t[q], t[r], t[s], left.n)
@@ -98,22 +87,56 @@ def axioms_ok(left: OpTable, right: OpTable) -> bool:
     return not any(_axiom_witnesses(left, right))
 
 
-@dataclass(frozen=True)
+# DiTable writes its slots past its own __setattr__; the labeled stream
+# builds one DiTable per dimonoid, so the lookup is bound once
+_set = object.__setattr__
+
+
 class DiTable:
     """An ordered pair of same-size tables (left operation, right operation)
     with its axiom report.  The report is derived data: it is computed on
-    first access and cached, and equality and hashing ignore it."""
+    first access and cached, and equality and hashing ignore it.  The fields
+    are read-only; assigning to one raises AttributeError."""
 
-    left: OpTable
-    right: OpTable
+    __slots__ = ("left", "right", "_report")
+
+    def __init__(self, left: OpTable, right: OpTable) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_report", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DiTable:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+    def __repr__(self) -> str:
+        return f"DiTable(left={self.left!r}, right={self.right!r})"
+
+    def __reduce__(self):
+        # rebuild through __init__: the default slot restore assigns fields
+        return DiTable, (self.left, self.right)
 
     @property
     def n(self) -> int:
         return self.left.n
 
-    @cached_property
+    @property
     def axiom_status(self) -> AxiomReport:
-        return _axiom_report(self.left, self.right)
+        report = self._report
+        if report is None:
+            report = _axiom_report(self.left, self.right)
+            _set(self, "_report", report)
+        return report
 
     @property
     def is_dimonoid(self) -> bool:
@@ -163,8 +186,7 @@ def naive_flip(d: DiTable) -> DiTable:
     return pair(dual_table(d.left), dual_table(d.right))
 
 
-@dataclass(frozen=True)
-class DiFlags:
+class DiFlags(NamedTuple):
     """Predicate flags of a verified dimonoid.
 
     trivial: the two operations coincide.
@@ -182,21 +204,14 @@ class DiFlags:
     rectangular: bool
 
     def to_json(self) -> dict:
-        return {
-            "trivial": self.trivial,
-            "commutative": self.commutative,
-            "abelian": self.abelian,
-            "self_dual": self.self_dual,
-            "rectangular": self.rectangular,
-        }
+        return self._asdict()
 
     @classmethod
     def from_json(cls, doc: dict) -> "DiFlags":
-        names = ("trivial", "commutative", "abelian", "self_dual", "rectangular")
-        for name in names:
+        for name in cls._fields:
             if not isinstance(doc[name], bool):
                 raise FormatError(f"flag {name!r} must be a JSON boolean, got {doc[name]!r}")
-        return cls(*(doc[name] for name in names))
+        return cls._make(doc[name] for name in cls._fields)
 
 
 def _require_dimonoid(d: DiTable) -> None:

@@ -8,8 +8,7 @@ never drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     ANotContainingA,
@@ -146,7 +145,8 @@ def lo_arrow(n: int, A: Iterable[int], a: int) -> OpTable:
         raise EmptyA("A must be nonempty")
     for v in sel:
         _check_index(v, n, "A element")
-    if a not in sel:
+    # True equals 1 and a list cannot be hashed, so test the type before `in`
+    if not isinstance(a, int) or isinstance(a, bool) or a not in sel:
         raise ANotContainingA(f"a={a!r} must lie in A")
     ent = [a] * (n * n)
     for x in sel:
@@ -159,8 +159,7 @@ def plus_zero_lo(n: int) -> OpTable:
     return adjoin_zero(left_zero_sg(n))
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Parameter record for :func:`build`; fields must be present exactly when
     the family uses them."""
 
@@ -190,9 +189,14 @@ class FamilyParams:
         unknown = set(doc) - {"family", "n", "A", "a", "c", "zero"}
         if unknown:
             raise BadFamilyParams(f"unknown keys {sorted(unknown)}")
-        A = doc.get("A")
+        family, A = doc["family"], doc.get("A")
+        if not isinstance(family, str):
+            raise BadFamilyParams(f"'family' must be a string, got {family!r}")
+        if A is not None and (not isinstance(A, list)
+                              or any(isinstance(v, (list, dict)) for v in A)):
+            raise BadFamilyParams(f"'A' must be a list of indices, got {A!r}")
         return cls(
-            family=doc["family"],
+            family=family,
             n=doc["n"],
             A=None if A is None else frozenset(A),
             a=doc.get("a"),

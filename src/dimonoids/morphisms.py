@@ -24,7 +24,6 @@ the same machinery usable for plain semigroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations as _permutations
 from math import factorial, prod
@@ -40,8 +39,7 @@ CANONICAL_BOUND = 5
 SEARCH_BOUND = 8
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class Permutation(NamedTuple):
     """A bijection of 0..n-1 stored as its image tuple."""
 
     images: tuple[int, ...]
@@ -410,8 +408,7 @@ def automorphisms_brute(structure: Union[OpTable, DiTable]) -> AutSet:
     return AutSet(n, range(n), transversals, perms)
 
 
-@dataclass(frozen=True)
-class SymmetricProductSpec:
+class SymmetricProductSpec(NamedTuple):
     """Shape of an automorphism group acting naturally: every listed fixed
     point is held pointwise and each block may be permuted freely within
     itself.  Empty blocks are dropped on construction."""

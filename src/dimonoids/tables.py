@@ -9,16 +9,14 @@ be shared freely, for example as a cache key or a fixed place of an identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyCarrier, IndexOutOfRange, SizeMismatch
 
 Witness = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class OpTable:
+class OpTable(NamedTuple):
     """Row-major n x n operation table.  Build through :func:`make_table` (or
     :func:`from_rows`), which validate; the raw constructor is for internal
     hot paths that produce entries already known to be in range."""
@@ -134,8 +132,7 @@ def rectangular_witness(t: OpTable) -> Optional[Witness]:
     return None
 
 
-@dataclass(frozen=True)
-class RoleReport:
+class RoleReport(NamedTuple):
     """Element roles of one table.  The zero is the unique element that is
     both a left and a right zero, when such an element exists."""
 
@@ -182,8 +179,7 @@ def element_roles(t: OpTable) -> RoleReport:
     )
 
 
-@dataclass(frozen=True)
-class ClassFlags:
+class ClassFlags(NamedTuple):
     """Which defining identities a single table satisfies.  On non-associative
     tables the three-factor identities are read with left-to-right bracketing."""
 
@@ -198,17 +194,7 @@ class ClassFlags:
     right_commutative: bool
 
     def to_json(self) -> dict:
-        return {
-            "associative": self.associative,
-            "commutative": self.commutative,
-            "band": self.band,
-            "semilattice": self.semilattice,
-            "null": self.null,
-            "left_zero_sg": self.left_zero_sg,
-            "right_zero_sg": self.right_zero_sg,
-            "rectangular": self.rectangular,
-            "right_commutative": self.right_commutative,
-        }
+        return self._asdict()
 
 
 def semigroup_class(t: OpTable) -> ClassFlags:

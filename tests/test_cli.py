@@ -72,6 +72,20 @@ def test_build_rejects_non_int_size_exit_3(capsys):
         assert json.loads(err)["error"]["code"] == error
 
 
+def test_build_rejects_mistyped_params_exit_3(capsys):
+    for doc, error in (({"family": "LO", "n": 2, "A": 3}, "BadFamilyParams"),
+                       ({"family": ["LO"], "n": 2}, "BadFamilyParams"),
+                       ({"family": "LO_tilde0", "n": 2, "A": [[0]]}, "BadFamilyParams"),
+                       # a bool is no element of A, even where A holds 1
+                       ({"family": "LO_arrow", "n": 2, "A": [1], "a": True},
+                        "ANotContainingA"),
+                       ({"family": "LO_arrow", "n": 2, "A": [0], "a": [0]},
+                        "ANotContainingA")):
+        code, out, err = run(capsys, "build", "--json", json.dumps(doc))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == error
+
+
 def test_build_refuses_carriers_above_the_bound_exit_3(capsys):
     for argv in (("--family", "O", "--n", "1000000000", "--zero", "0"),
                  ("--family", "LO", "--n", "100000"),
@@ -294,12 +308,13 @@ def test_json_output_is_byte_stable(capsys, tmp_path):
     assert len(outputs) == 1
 
 
-def _python(script: str) -> subprocess.CompletedProcess:
-    """Run script in a fresh interpreter that imports this checkout's package."""
+def _python(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter, started with the given flags, that
+    imports this checkout's package."""
     src = str(Path(dimonoids.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", script],
+    return subprocess.run([sys.executable, *flags, "-c", script],
                           env=env, capture_output=True, text=True, check=True)
 
 
@@ -312,6 +327,24 @@ def test_cli_import_does_not_load_multiprocessing():
         "assert dimonoids.cli.main(['classify', '--n', '2']) == 0\n"
         "print('multiprocessing' in sys.modules, file=sys.stderr)")
     assert out.stderr.strip().splitlines()[-1] == "False"
+
+
+def test_single_structure_commands_load_no_dataclasses(tmp_path):
+    # the records on their path are NamedTuples and a slotted DiTable; -S
+    # keeps site hooks from importing either module first
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(pair(left_zero_sg(3), right_zero_sg(3)).to_json()))
+    out = _python(f"""
+import contextlib, io, sys
+import dimonoids.cli, dimonoids.families, dimonoids.morphisms
+
+for argv in (["build", "--family", "LOB", "--n", "3", "--a", "0", "--c", "1"],
+             ["aut", {str(path)!r}], ["iso", {str(path)!r}, {str(path)!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dimonoids.cli.main(argv) == 0
+print(sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
+""", "-S")
+    assert out.stdout.strip() == "[]"
 
 
 def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):

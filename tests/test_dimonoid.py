@@ -1,6 +1,9 @@
+import pickle
+
 import pytest
 
 from dimonoids import (
+    DiFlags,
     DiTable,
     EmptySubset,
     IndexOutOfRange,
@@ -33,6 +36,7 @@ from dimonoids import (
     pair,
     right_zero_sg,
 )
+from dimonoids import dimonoid
 
 
 def lo_ro(n=2):
@@ -82,6 +86,38 @@ def test_di_table_json_round_trip():
     d = lob_with_fixed_null(3, 0, 1)
     again = DiTable.from_json(d.to_json())
     assert again == d and again.is_dimonoid
+
+
+def test_di_table_is_a_value_whose_report_is_computed_once(monkeypatch):
+    reports = []
+
+    def counted(left, right):
+        reports.append((left, right))
+        return real(left, right)
+
+    real = dimonoid._axiom_report
+    monkeypatch.setattr(dimonoid, "_axiom_report", counted)
+    read, fresh = lo_ro(), lo_ro()
+    assert read.axiom_status is read.axiom_status and read.is_dimonoid
+    assert reports == [(read.left, read.right)]
+    # equality and hashing ignore the cached report
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read != pair(right_zero_sg(2), left_zero_sg(2))
+    for field in ("left", "right", "axiom_status"):
+        with pytest.raises(AttributeError):
+            setattr(read, field, read.left)
+    again = pickle.loads(pickle.dumps(read))
+    assert again == read and again.is_dimonoid
+
+
+def test_di_flags_are_values_with_a_stable_document():
+    flags, same = di_flags(lo_ro()), di_flags(lo_ro())
+    assert flags == same and hash(flags) == hash(same)
+    with pytest.raises(AttributeError):
+        flags.abelian = False
+    doc = flags.to_json()
+    assert list(doc) == ["trivial", "commutative", "abelian", "self_dual", "rectangular"]
+    assert DiFlags.from_json(doc) == flags
 
 
 def test_dual_of_left_right_zero_pair_is_itself():

@@ -134,6 +134,14 @@ def test_family_params_json_round_trip():
         FamilyParams.from_json({"family": "LO", "n": 2, "bogus": 1})
 
 
+def test_family_params_are_immutable_values():
+    p = make_params("O_A", 3, A=[1, 2], zero=0)
+    q = FamilyParams("O_A", 3, frozenset({2, 1}), zero=0)
+    assert p == q and hash(p) == hash(q)
+    with pytest.raises(AttributeError):
+        p.n = 4
+
+
 def test_every_family_table_is_associative_up_to_four():
     count = 0
     for params, table in family_sweep(4):

@@ -64,6 +64,21 @@ def test_permutation_images_must_be_ints():
     assert Permutation.of([1, 0]).images == (1, 0)
 
 
+def test_permutations_and_specs_are_ordered_immutable_values():
+    p, q = Permutation.of([2, 0, 1]), Permutation.of((2, 0, 1))
+    assert p == q and hash(p) == hash(q)
+    perms = list(all_permutations(3))
+    shuffled = random.Random(7).sample(perms, len(perms))
+    # permutations sort by their image tuples
+    assert sorted(shuffled) == sorted(perms, key=lambda r: r.images) == perms
+    spec = SymmetricProductSpec.of([0], [[1, 2], []])
+    same = SymmetricProductSpec.of({0}, [{2, 1}])
+    assert spec == same and hash(spec) == hash(same)
+    for record, field in ((p, "images"), (spec, "fixed"), (spec, "blocks")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
 def test_identity_is_an_isomorphism():
     d = lob_pair(3, 0, 1)
     assert check_morphism(d, d, Permutation.identity(3)).isomorphism

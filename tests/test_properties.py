@@ -140,7 +140,7 @@ def _first_failure(n, holds):
 
 
 def _reference_report(le, re_):
-    """The five axioms evaluated cell by cell, in AXIOM_NAMES order."""
+    """The five axioms evaluated cell by cell, in AxiomReport field order."""
     n = le.n
     return (
         _first_failure(n, lambda x, y, z:

@@ -110,6 +110,21 @@ def test_class_flags_right_zero_not_right_commutative():
     assert flags.right_zero_sg and flags.rectangular and flags.band
 
 
+def test_table_records_are_immutable_values():
+    t, u = make_table(2, [0, 0, 1, 1]), from_rows([[0, 0], [1, 1]])
+    for a, b, field in ((t, u, "n"),
+                        (element_roles(t), element_roles(u), "zero"),
+                        (semigroup_class(t), semigroup_class(u), "band")):
+        assert a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+    assert t != dual_table(t)
+    # the flags document lists every flag, in declaration order
+    assert list(semigroup_class(t).to_json()) == [
+        "associative", "commutative", "band", "semilattice", "null",
+        "left_zero_sg", "right_zero_sg", "rectangular", "right_commutative"]
+
+
 def test_class_flags_lo_arrow_right_commutative():
     flags = semigroup_class(lo_arrow(3, [0, 1], 0))
     assert flags.right_commutative and flags.associative and flags.rectangular
