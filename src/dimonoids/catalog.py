@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import product
 from math import factorial
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .constructions import CONSTRUCTION_NAMES, ConstructionCase, cases
+from .constructions import CONSTRUCTION_NAMES, ConstructionCase, all_cases
 from .dimonoid import (
     AXIOM_BINDINGS,
     DiFlags,
@@ -39,13 +38,8 @@ from .errors import BoundExceeded, FormatError, SizeMismatch
 from .families import (
     family_sweep,
     left_zero_sg,
-    lo_arrow,
-    lo_tilde0,
-    lob,
     null_sg,
-    plus_zero_lo,
     right_zero_sg,
-    subsets,
 )
 from .morphisms import (
     _least_left,
@@ -309,8 +303,7 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
 # classification
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One isomorphism class: its canonical representative plus the
     invariants recorded in the catalog file."""
 
@@ -400,7 +393,7 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
         if j < i:
             continue  # merged into the entry of its dual class j
         labeled = entry.labeled_count + (entries[j].labeled_count if j != i else 0)
-        merged.append(replace(entry, labeled_count=labeled, dual_class_id=len(merged)))
+        merged.append(entry._replace(labeled_count=labeled, dual_class_id=len(merged)))
     return merged
 
 
@@ -443,8 +436,7 @@ def load_catalog(path) -> list[CatalogEntry]:
 # the consolidated verification suite
 
 
-@dataclass(frozen=True)
-class TheoremRecord:
+class TheoremRecord(NamedTuple):
     """Outcome of one swept claim; failures carry a reproducible witness."""
 
     id: str
@@ -454,17 +446,10 @@ class TheoremRecord:
     details: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "details": self.details,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     n_max: int
     records: tuple[TheoremRecord, ...]
 
@@ -537,37 +522,26 @@ def run_theorem_suite(n_max: int) -> SuiteReport:
     records: list[TheoremRecord] = []
 
     # family associativity
+    sweep = list(family_sweep(n_max))
     failures = [f"{p.to_json()}: witness {w}"
-                for p, t in family_sweep(n_max)
-                if (w := is_associative(t)) is not None]
+                for p, t in sweep if (w := is_associative(t)) is not None]
     records.append(_record(
         "families-associative",
         f"every family table with n <= {n_max} is associative", failures))
 
     # right commutativity of the four stated families, and not of RO
-    rc_sweeps = {
-        "rc-lo-arrow": (f"anchored partial left-zero tables, n <= {n_max}",
-                        lambda: (lo_arrow(n, A, a)
-                                 for n in range(1, n_max + 1)
-                                 for A in subsets(range(n)) if A
-                                 for a in sorted(A))),
-        "rc-lo-tilde0": (f"zero-extended partial left-zero tables, n <= {n_max}",
-                         lambda: (lo_tilde0(n, A)
-                                  for n in range(1, n_max + 1)
-                                  for A in subsets(range(n)))),
-        "rc-lob": (f"left-zero bands, n <= {n_max}",
-                   lambda: (lob(n, a, c)
-                            for n in range(2, n_max + 1)
-                            for a in range(n) for c in range(n) if a != c)),
-        "rc-lo-plus0": (f"zero-adjoined left-zero tables, n <= {n_max}",
-                        lambda: (plus_zero_lo(n) for n in range(1, n_max + 1))),
-    }
-    for rid, (desc, gen) in rc_sweeps.items():
-        failures = [f"table {t.rows()}" for t in gen()
-                    if right_commutative_witness(t) is not None]
-        records.append(_record(rid, f"{desc} are right commutative", failures))
-    failures = [f"n={n}" for n in range(2, n_max + 1)
-                if right_commutative_witness(right_zero_sg(n)) is None]
+    for rid, family, desc in (
+            ("rc-lo-arrow", "LO_arrow", "anchored partial left-zero tables"),
+            ("rc-lo-tilde0", "LO_tilde0", "zero-extended partial left-zero tables"),
+            ("rc-lob", "LOB", "left-zero bands"),
+            ("rc-lo-plus0", "plus_zero", "zero-adjoined left-zero tables")):
+        failures = [f"table {t.rows()}" for p, t in sweep
+                    if p.family == family and right_commutative_witness(t) is not None]
+        records.append(_record(rid, f"{desc}, n <= {n_max} are right commutative",
+                               failures))
+    failures = [f"n={p.n}" for p, t in sweep
+                if p.family == "RO" and p.n >= 2
+                and right_commutative_witness(t) is None]
     records.append(_record(
         "rc-ro-negative",
         f"right-zero tables with 2 <= n <= {n_max} are not right commutative",
@@ -575,7 +549,7 @@ def run_theorem_suite(n_max: int) -> SuiteReport:
 
     # the nine constructions
     for name in CONSTRUCTION_NAMES:
-        case_list = [case for n in range(1, n_max + 1) for case in cases(name, n)]
+        case_list = list(all_cases(n_max, (name,)))
         failures = [msg for case in case_list
                     if (msg := check_construction_case(case)) is not None]
         details = None
@@ -708,6 +682,7 @@ def _pairing_records(k_max: int) -> list[TheoremRecord]:
     lnull_failures = []
     for k in range(1, k_max + 1):
         lo_table = left_zero_sg(k)
+        rng = range(k)
         for t in enumerate_semigroups(k):
             rc = right_commutative_witness(t) is None
             if axioms_ok(t, dual_table(t)) != rc:
@@ -716,9 +691,9 @@ def _pairing_records(k_max: int) -> list[TheoremRecord]:
             if axioms_ok(lo_table, t) != rect:
                 lrec_failures.append(f"n={k} table {t.rows()}: left-zero pairing != {rect}")
             e = t.entries
-            rng = range(k)
+            left_zeros = element_roles(t).left_zeros
             for z in rng:
-                cond = (all(e[z * k + u] == z for u in rng)
+                cond = (z in left_zeros
                         and all(e[e[x * k + y] * k + w] == e[x * k + z]
                                 for x in rng for y in rng for w in rng))
                 if axioms_ok(t, null_sg(k, z)) != cond:

@@ -8,10 +8,12 @@ shape mismatch, suite failures), 2 usage errors, 3 invalid input.
 Each process runs one subcommand, so this module imports only the table and
 dimonoid layers up front; a subcommand handler imports the rest of what it
 runs (`families` for build, `morphisms` for aut and iso, `catalog` for
-classify and suite).  The records of those layers are NamedTuples and a
-slotted DiTable, so no subcommand but classify and suite imports
-`dataclasses`.  Every JSON input is decoded by `_parse_json`, so a
-document nested too deeply to decode exits 3 like any other malformed one.
+classify and suite).  Every record of the package is a NamedTuple or the
+slotted DiTable, so no subcommand generates record classes at import time or
+loads `inspect`.  Every structure input is read as a DiTable by
+`_load_structure` (a single table as the trivial dimonoid on it), and every
+JSON input is decoded by `_parse_json`, so a document nested too deeply to
+decode exits 3 like any other malformed one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from .dimonoid import (
     DiTable,
@@ -34,8 +36,6 @@ from .tables import OpTable
 
 if TYPE_CHECKING:
     from .morphisms import SymmetricProductSpec
-
-Structure = Union[OpTable, DiTable]
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -112,7 +112,9 @@ def _parse_json(text: str):
         raise FormatError("JSON input is nested too deeply") from None
 
 
-def _load_structure(path: Optional[str], inline: Optional[str]) -> Structure:
+def _load_structure(path: Optional[str], inline: Optional[str]) -> DiTable:
+    """Read one input document; a single table is taken as the trivial
+    dimonoid on it."""
     if inline is None and path is None:
         raise DimonoidError("no input: pass a file or --json")
     if inline is not None:
@@ -124,7 +126,7 @@ def _load_structure(path: Optional[str], inline: Optional[str]) -> Structure:
             text = fh.read()
     doc = _parse_json(text)
     if isinstance(doc, dict) and "table" in doc:
-        return OpTable.from_json(doc)
+        return as_ditable(OpTable.from_json(doc))
     return DiTable.from_json(doc)
 
 
@@ -197,7 +199,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    d = as_ditable(_load_structure(args.file, args.inline))
+    d = _load_structure(args.file, args.inline)
     report = d.axiom_status
     text = _render_ditable(d) + "\n" + "\n".join(
         f"{name}: " + ("ok" if w is None else f"witness {w}")
@@ -207,7 +209,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_props(args) -> int:
-    d = as_ditable(_load_structure(args.file, args.inline))
+    d = _load_structure(args.file, args.inline)
     flags = di_flags(d)
     text = "\n".join(f"{k}: {v}" for k, v in flags.to_json().items())
     _emit(flags.to_json(), args.format, text)
@@ -215,14 +217,14 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_halo(args) -> int:
-    d = as_ditable(_load_structure(args.file, args.inline))
+    d = _load_structure(args.file, args.inline)
     h = sorted(halo(d))
     _emit({"halo": h}, args.format, "halo: {" + ", ".join(map(str, h)) + "}")
     return 0
 
 
 def _cmd_dual(args) -> int:
-    d = as_ditable(_load_structure(args.file, args.inline))
+    d = _load_structure(args.file, args.inline)
     out = naive_flip(d) if args.naive else dual_dimonoid(d)
     _emit(out.to_json(), args.format, _render_ditable(out))
     return 0
@@ -231,7 +233,7 @@ def _cmd_dual(args) -> int:
 def _cmd_aut(args) -> int:
     from .morphisms import automorphisms, matches_symmetric_product
 
-    d = as_ditable(_load_structure(args.file, args.inline))
+    d = _load_structure(args.file, args.inline)
     auts = automorphisms(d)
     result = {"order": auts.order}
     if args.spec:

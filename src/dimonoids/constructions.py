@@ -10,8 +10,7 @@ actual value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .dimonoid import DiTable, adjoin_zero_di, from_right_commutative, pair
 from .families import (
@@ -76,8 +75,7 @@ def lo_arrow_with_null(n: int, A, zero: int) -> DiTable:
     return pair(lo_arrow(n, A, zero), null_sg(n, zero))
 
 
-@dataclass
-class ConstructionCase:
+class ConstructionCase(NamedTuple):
     """One parameter choice of one construction, with its asserted outcomes."""
 
     name: str

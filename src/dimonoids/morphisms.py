@@ -32,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .dimonoid import DiTable, _require_dimonoid, as_ditable, pair
 from .errors import BadPartition, BoundExceeded, IndexOutOfRange, SizeMismatch
-from .tables import OpTable
+from .tables import OpTable, _role_scan
 
 CANONICAL_BOUND = 5
 # largest carrier the isomorphism search (automorphisms, are_isomorphic) takes
@@ -239,21 +239,11 @@ class AutSet:
 
 
 def _element_signatures(d: DiTable) -> list[tuple]:
-    """Per-element role profile preserved by every automorphism: left/right
-    zero-ness, left/right identity-ness and idempotency in each table (the
-    roles of tables.element_roles, read straight from the entries)."""
-    n = d.n
-    identity = tuple(range(n))
-    sigs = []
-    for x in identity:
-        constant = (x,) * n
-        sig = ()
-        for e in (d.left.entries, d.right.entries):
-            row, column = e[x * n:(x + 1) * n], e[x::n]
-            sig += (row == constant, column == constant,
-                    row == identity, column == identity, row[x] == x)
-        sigs.append(sig)
-    return sigs
+    """Per-element role profile preserved by every automorphism: the five
+    roles of tables._role_scan (left/right zero, left/right identity,
+    idempotent) in the left table, then in the right table."""
+    return [x_left + x_right
+            for x_left, x_right in zip(_role_scan(d.left), _role_scan(d.right))]
 
 
 class _IsoSearch:

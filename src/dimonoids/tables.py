@@ -9,6 +9,7 @@ be shared freely, for example as a cache key or a fixed place of an identity.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyCarrier, IndexOutOfRange, SizeMismatch
@@ -156,15 +157,27 @@ class RoleReport(NamedTuple):
         }
 
 
+def _role_scan(t: OpTable) -> list[tuple[bool, bool, bool, bool, bool]]:
+    """Per element x: whether x is a left zero, a right zero, a left identity,
+    a right identity and an idempotent, read off x's row and column.  The one
+    reader of element roles; element_roles and the isomorphism search's role
+    profiles are built from it."""
+    n, e = t.n, t.entries
+    identity = tuple(range(n))
+    scan = []
+    for x in identity:
+        constant = (x,) * n
+        row, column = e[x * n:(x + 1) * n], e[x::n]
+        scan.append((row == constant, column == constant,
+                     row == identity, column == identity, row[x] == x))
+    return scan
+
+
 def element_roles(t: OpTable) -> RoleReport:
     """Left/right zeros, left/right identities, two-sided identities, the zero
     if present, and the idempotents of a table."""
-    n, e = t.n, t.entries
-    rng = range(n)
-    left_zeros = frozenset(z for z in rng if all(e[z * n + a] == z for a in rng))
-    right_zeros = frozenset(z for z in rng if all(e[a * n + z] == z for a in rng))
-    left_ids = frozenset(i for i in rng if all(e[i * n + a] == a for a in rng))
-    right_ids = frozenset(i for i in rng if all(e[a * n + i] == a for a in rng))
+    left_zeros, right_zeros, left_ids, right_ids, idempotents = (
+        frozenset(compress(range(t.n), flags)) for flags in zip(*_role_scan(t)))
     both = left_zeros & right_zeros
     # an element that is a zero on both sides is unique when it exists
     zero = min(both) if both else None
@@ -175,7 +188,7 @@ def element_roles(t: OpTable) -> RoleReport:
         left_identities=left_ids,
         right_identities=right_ids,
         identities=left_ids & right_ids,
-        idempotents=frozenset(x for x in rng if e[x * n + x] == x),
+        idempotents=idempotents,
     )
 
 
@@ -200,22 +213,24 @@ class ClassFlags(NamedTuple):
 def semigroup_class(t: OpTable) -> ClassFlags:
     """Decide every flag by exhaustive quantifier check over the table.
 
-    rectangular means x*y*z = x*z for all triples; right commutative means
-    s*x*y = s*y*x for all triples; a semilattice is a commutative band; null
-    means every product equals one fixed element.
+    A band is all idempotents and a left (right) zero semigroup is all left
+    (right) zeros, read from element_roles; rectangular means x*y*z = x*z for
+    all triples; right commutative means s*x*y = s*y*x for all triples; a
+    semilattice is a commutative band; null means every product equals one
+    fixed element.
     """
-    n, e = t.n, t.entries
-    rng = range(n)
+    n = t.n
+    roles = element_roles(t)
     commutative = t == dual_table(t)
-    band = all(e[x * n + x] == x for x in rng)
+    band = len(roles.idempotents) == n
     return ClassFlags(
         associative=is_associative(t) is None,
         commutative=commutative,
         band=band,
         semilattice=band and commutative,
-        null=len(set(e)) == 1,
-        left_zero_sg=all(e[x * n + y] == x for x in rng for y in rng),
-        right_zero_sg=all(e[x * n + y] == y for x in rng for y in rng),
+        null=len(set(t.entries)) == 1,
+        left_zero_sg=len(roles.left_zeros) == n,
+        right_zero_sg=len(roles.right_zeros) == n,
         rectangular=rectangular_witness(t) is None,
         right_commutative=right_commutative_witness(t) is None,
     )

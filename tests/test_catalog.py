@@ -425,7 +425,7 @@ def test_corrupting_a_table_is_detected():
     assert check_construction_case(case) is None
     left = list(case.dimonoid.left.entries)
     left[4] = (left[4] + 1) % 3
-    case.dimonoid = pair(OpTable(3, tuple(left)), case.dimonoid.right)
+    case = case._replace(dimonoid=pair(OpTable(3, tuple(left)), case.dimonoid.right))
     message = check_construction_case(case)
     assert message is not None and "axioms fail" in message
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -301,6 +302,20 @@ def test_suite_cli(capsys):
     assert code == 3
 
 
+SUITE_N6_DIGESTS = {
+    "json": "da96a82266f8bcad09f2955e561ca70dfb52ffbf5378103dcfbd785c6586f9fe",
+    "table": "b3e51198d33955bff56c3741ffbd57302087968226bbac719592012a5c0acfa1",
+}
+
+
+def test_suite_output_bytes_are_pinned(capsys):
+    # SHA-256 of the stdout of `dimonoids suite --n-max 6` in each format
+    for fmt, digest in SUITE_N6_DIGESTS.items():
+        code, out, _ = run(capsys, "suite", "--n-max", "6", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_json_output_is_byte_stable(capsys, tmp_path):
     path = tmp_path / "d.json"
     path.write_text(json.dumps(pair(left_zero_sg(3), right_zero_sg(3)).to_json()))
@@ -343,6 +358,22 @@ for argv in (["build", "--family", "LOB", "--n", "3", "--a", "0", "--c", "1"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert dimonoids.cli.main(argv) == 0
 print(sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
+""", "-S")
+    assert out.stdout.strip() == "[]"
+
+
+def test_catalog_commands_load_no_dataclasses():
+    # the catalog and construction records are NamedTuples too, so classify
+    # and suite run without dataclasses and inspect
+    out = _python("""
+import contextlib, io, sys
+import dimonoids.cli
+
+sink = io.StringIO()
+for argv in (["classify", "--n", "2"], ["suite", "--n-max", "2"]):
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert dimonoids.cli.main(argv) == 0
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """, "-S")
     assert out.stdout.strip() == "[]"
 

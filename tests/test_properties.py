@@ -25,7 +25,13 @@ from dimonoids import (
     semigroup_class,
 )
 from dimonoids.catalog import _right_tables
-from dimonoids.tables import rectangular_witness, right_commutative_witness
+from dimonoids.morphisms import _element_signatures
+from dimonoids.tables import (
+    RoleReport,
+    _role_scan,
+    rectangular_witness,
+    right_commutative_witness,
+)
 
 
 @st.composite
@@ -188,6 +194,62 @@ def test_commutativity_flags_equal_cellwise_reference(t):
 def test_identity_witnesses_equal_cellwise_reference(t):
     assert right_commutative_witness(t) == _reference_rc(t)
     assert rectangular_witness(t) == _reference_rect(t)
+
+
+@st.composite
+def role_tables(draw, n):
+    """A random n x n table, associative or not, in which some rows are
+    constant or the identity row, transposed half the time, so that every
+    element role turns up."""
+    rows = []
+    for x in range(n):
+        kind = draw(st.sampled_from(("cells", "constant", "identity")))
+        if kind == "cells":
+            rows.append(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        else:
+            rows.append([x] * n if kind == "constant" else list(range(n)))
+    t = OpTable(n, tuple(v for row in rows for v in row))
+    return dual_table(t) if draw(st.booleans()) else t
+
+
+@st.composite
+def role_table_pairs(draw, max_n=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return draw(role_tables(n)), draw(role_tables(n))
+
+
+def _reference_roles(t):
+    """Per element, cell by cell: left zero, right zero, left identity, right
+    identity, idempotent."""
+    rng = range(t.n)
+    return [(all(t.entry(x, a) == x for a in rng), all(t.entry(a, x) == x for a in rng),
+             all(t.entry(x, a) == a for a in rng), all(t.entry(a, x) == a for a in rng),
+             t.entry(x, x) == x)
+            for x in rng]
+
+
+@given(role_table_pairs())
+def test_element_roles_equal_cellwise_reference(tables):
+    t, u = tables
+    rng = range(t.n)
+    ref = _reference_roles(t)
+    assert _role_scan(t) == ref
+    left_zeros, right_zeros, left_ids, right_ids, idempotents = (
+        frozenset(x for x in rng if ref[x][k]) for k in range(5))
+    zeros = [z for z in rng if all(t.entry(z, a) == z == t.entry(a, z) for a in rng)]
+    assert len(zeros) <= 1
+    assert element_roles(t) == RoleReport(
+        left_zeros=left_zeros, right_zeros=right_zeros,
+        zero=zeros[0] if zeros else None,
+        left_identities=left_ids, right_identities=right_ids,
+        identities=frozenset(x for x in rng if ref[x][2] and ref[x][3]),
+        idempotents=idempotents)
+    flags = semigroup_class(t)
+    assert flags.band == all(t.entry(x, x) == x for x in rng)
+    assert flags.left_zero_sg == all(t.entry(x, y) == x for x in rng for y in rng)
+    assert flags.right_zero_sg == all(t.entry(x, y) == y for x in rng for y in rng)
+    ref_u = _reference_roles(u)
+    assert _element_signatures(pair(t, u)) == [ref[x] + ref_u[x] for x in rng]
 
 
 # construction cases with carriers up to 5, and every labeled dimonoid of order 3
