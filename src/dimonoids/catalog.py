@@ -6,12 +6,14 @@ Both enumerators run on one backtracking engine, `_fill`: semigroups against
 associativity, and the right tables of a left table against the axiom
 bindings of `dimonoid.AXIOM_BINDINGS`.  The labeled dimonoid stream fills the
 right tables once per semigroup class, for its least relabeled left table,
-and relabels them onto every labeled left table of the class; `classify`
-visits only those least left tables, and reads the labeled count and the
-automorphism order of each class off how many labeled left tables and right
-tables reach its key.  Enumeration is deterministic: tables are emitted in
-lexicographic order of their entry tuples, and catalogs are sorted by
-canonical form, so a catalog's bytes depend only on its order and quotient.
+and relabels them onto every labeled left table of the class.  `classify`
+never builds the labeled stream: `_fill` with its lex-leader prune yields
+exactly those least left tables (orderly generation), and the labeled count
+and automorphism order of each class are read off the orbit sizes of the
+leaders and how many right tables reach its key.  Enumeration is
+deterministic: tables are emitted in lexicographic order of their entry
+tuples, and catalogs are sorted by canonical form, so a catalog's bytes
+depend only on its order and quotient.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .dimonoid import (
     AXIOM_BINDINGS,
     DiFlags,
     DiTable,
+    _known_dimonoid,
     axioms_ok,
     di_flags,
     dual_dimonoid,
@@ -43,6 +46,8 @@ from .families import (
 )
 from .morphisms import (
     _least_left,
+    _left_orbit,
+    _symmetric_group,
     automorphisms,
     canonical_key,
     check_morphism,
@@ -62,6 +67,9 @@ SEMIGROUP_ENUM_BOUND = 4
 DIMONOID_ENUM_BOUND = 3
 SUITE_BOUND = 6
 
+# associativity as a `_fill` binding: the filled table in all four places
+_ASSOCIATIVITY = [(None, None, None, None)]
+
 
 # ---------------------------------------------------------------------------
 # enumeration
@@ -71,9 +79,11 @@ class _Conflict(Exception):
     """An instance of a binding fails on the cells set so far."""
 
 
-def _fill(n: int, bindings: list[tuple]) -> Iterator[OpTable]:
+def _fill(n: int, bindings: list[tuple], leaders: bool = False) -> Iterator[OpTable]:
     """Every table t on 0..n-1 with (a q b) p c = a r (b s c) for all a, b, c
-    and every binding (p, q, r, s), in lexicographic entry order.
+    and every binding (p, q, r, s), in lexicographic entry order; with
+    `leaders`, only the lex leaders among them, the tables no relabeling
+    makes lexicographically smaller.
 
     Each place of a binding holds a fixed row-major entry tuple, or None for t
     itself.  A binding without a None place reads only fixed tables and is
@@ -85,6 +95,16 @@ def _fill(n: int, bindings: list[tuple]) -> Iterator[OpTable]:
     Cells are chosen row-major.  An instance whose one unset cell is its p or
     r cell forces that cell; an undo trail clears forced cells on backtrack.
     Every instance is tested when its last cell is set, chosen or forced.
+
+    The leader prune (lex-leader symmetry breaking) runs after each cell is
+    set and its forced cells propagated.  For each relabeling p other than
+    the identity it walks the cells in row-major order while both p(t) and t
+    are set there: the first cell where they differ decides, and p(t) smaller
+    there cuts the branch, since every completion keeps those cells.  On a
+    full table the walk is the whole comparison, so exactly the leaders
+    remain.  It is sound only for bindings that every relabeling preserves,
+    those without a fixed table, such as associativity; the labeled route
+    descends without it.
     """
     size = n * n
     rng = range(n)
@@ -208,8 +228,35 @@ def _fill(n: int, bindings: list[tuple]) -> Iterator[OpTable]:
             except _Conflict:
                 queue.clear()
             else:
-                yield from fill(k + 1)
+                yield from descend(k + 1)
             undo(mark)
+
+    if leaders:
+        # each p other than the identity as (its images, for each cell of
+        # p(t) the cell of t it reads): the gather of the cell indices
+        relabelings = _symmetric_group(n).relabelings[1:]
+        cell_ids = tuple(range(size))
+        perms = [(tuple(map(img, rng)), gather(cell_ids)) for img, gather in relabelings]
+
+        def leading() -> bool:
+            for img, src in perms:
+                for t, j in zip(e, src):
+                    if t is None:
+                        break
+                    u = e[j]
+                    if u is None:
+                        break
+                    u = img[u]
+                    if u != t:
+                        if u < t:
+                            return False
+                        break
+            return True
+
+        def descend(k: int) -> Iterator[OpTable]:
+            return fill(k) if leading() else iter(())
+    else:
+        descend = fill
 
     yield from fill(0)
 
@@ -229,7 +276,7 @@ def enumerate_semigroups(n: int, max_n: int = SEMIGROUP_ENUM_BOUND) -> Iterator[
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"semigroup enumeration limited to n <= {max_n}")
-    yield from _fill(n, [(None, None, None, None)])
+    yield from _fill(n, _ASSOCIATIVITY)
 
 
 def enumerate_semigroups_brute(n: int) -> Iterator[OpTable]:
@@ -350,19 +397,24 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
 
     Every class has a member whose left table is the canonical (least
     relabeled) left table of its semigroup class: relabel any member by a
-    permutation that minimizes its left table.  So the class keys are the
-    canonical keys of the dimonoids over the canonical left tables, one per
-    semigroup class, read from the orbit index of `morphisms`, and no other
-    labeled dimonoid is visited.
+    permutation that minimizes its left table.  Those tables are the lex
+    leaders that `_fill` yields under associativity with its leader prune,
+    one per semigroup class, so the class keys are the canonical keys of the
+    dimonoids over the leaders, and no other labeled table is visited.
 
     The same pass counts each class.  The labeled members of the class of
-    d = (L0, R) are its relabelings; their left tables are the lefts[L0]
-    labeled tables of L0's semigroup class, and those whose left table is L0
-    itself are the (L0, g(R)) for g in Aut(L0), rights[key] of them, since the
-    right part of the key is the least g(R).  So labeled_count is
-    lefts[L0] * rights[key], and aut_order is n!/labeled_count by
-    orbit-stabilizer; no automorphism search runs (the tests reconcile both
-    against direct counting and the search).
+    d = (L0, R) are its relabelings; their left tables are the
+    lefts[L0] = n!/|Aut(L0)| labeled tables of L0's semigroup class, with
+    Aut(L0) read off the orbit index entry that canonical_key reads anyway,
+    and those whose left table is L0 itself are the (L0, g(R)) for g in
+    Aut(L0), rights[key] of them, since the right part of the key is the
+    least g(R).  So labeled_count is lefts[L0] * rights[key], and aut_order
+    is n!/labeled_count by orbit-stabilizer; no automorphism search runs
+    (the tests reconcile both against direct counting and the search).
+
+    The representatives carry an all-ok axiom report instead of rebuilding
+    one for di_flags and halo: L0 was filled against associativity, each R
+    against the other four axioms, and relabeling preserves both.
 
     Entries are sorted by their canonical tables.  Under the iso_and_duality
     quotient, each nonabelian class is merged with its dual class and every
@@ -373,16 +425,20 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"classification limited to n <= {max_n}")
-    lefts = Counter(_least_left(n, t.entries)[0] for t in enumerate_semigroups(n, max_n))
-    rights = Counter(canonical_key(pair(left, right))
-                     for left in [OpTable(n, kl) for kl in lefts]
-                     for right in _right_tables(left))
+    fact = factorial(n)
+    lefts: dict[tuple[int, ...], int] = {}
+    rights: Counter = Counter()
+    for left in _fill(n, _ASSOCIATIVITY, leaders=True):
+        rights.update(canonical_key(pair(left, right)) for right in _right_tables(left))
+        # the orbit entry canonical_key has just read: left is its own least
+        # relabeled table, and its class has n!/|Aut(left)| labeled tables
+        (_, aut), _ = _left_orbit(n, left.entries)
+        lefts[left.entries] = fact // len(aut)
     keys = sorted(rights)
     index = {key: i for i, key in enumerate(keys)}
-    reps = [pair(OpTable(n, kl), OpTable(n, kr)) for kl, kr in keys]
+    reps = [_known_dimonoid(OpTable(n, kl), OpTable(n, kr)) for kl, kr in keys]
     dual_of = [index[canonical_key(dual_dimonoid(d))] for d in reps]
     counts = [lefts[kl] * rights[kl, kr] for kl, kr in keys]
-    fact = factorial(n)
     entries = [CatalogEntry(d, di_flags(d), len(halo(d)), fact // count, count, dual)
                for d, count, dual in zip(reps, counts, dual_of)]
     if quotient == "iso":

@@ -9,7 +9,7 @@ be shared freely, for example as a cache key or a fixed place of an identity.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyCarrier, IndexOutOfRange, SizeMismatch
@@ -240,7 +240,8 @@ def dual_table(t: OpTable) -> OpTable:
     """Same carrier with the arguments swapped: entry(x, y) of the result is
     entry(y, x) of the input.  Involutive."""
     n, e = t.n, t.entries
-    return OpTable(n, tuple(e[y * n + x] for x in range(n) for y in range(n)))
+    # row x of the result is column x of the input
+    return OpTable(n, tuple(chain.from_iterable([e[x::n] for x in range(n)])))
 
 
 def adjoin_zero(t: OpTable) -> OpTable:

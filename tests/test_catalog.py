@@ -2,11 +2,13 @@ import hashlib
 import json
 from collections import Counter
 from itertools import groupby, product
+from math import factorial
 from operator import attrgetter
 
 import pytest
 
 import dimonoids.catalog as catalog
+import dimonoids.dimonoid as dimonoid
 from dimonoids import (
     BoundExceeded,
     CatalogEntry,
@@ -19,6 +21,7 @@ from dimonoids import (
     axioms_ok,
     canonical_key,
     cases,
+    check_axioms,
     classify,
     dual_table,
     dumps_catalog,
@@ -36,6 +39,7 @@ from dimonoids import (
 )
 from dimonoids.catalog import _fill, _right_tables, check_construction_case
 from dimonoids.dimonoid import AXIOM_BINDINGS
+from dimonoids.morphisms import _least_left, _symmetric_group
 
 # counts produced by this package's own enumerators and cross-checked by the
 # brute-force route below; the order <= 3 numbers are frozen here on purpose
@@ -95,8 +99,16 @@ def test_max_n_reaches_the_semigroup_stream(monkeypatch):
 
     monkeypatch.setattr(catalog, "enumerate_semigroups", recorded)
     list(enumerate_dimonoids(2, max_n=2))
+    # classify fills the lex leaders itself and checks its bound before that
     classify(2, max_n=2)
-    assert bounds == [2, 2]
+    assert bounds == [2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify filled past its bound")
+
+    monkeypatch.setattr(catalog, "_fill", refuse)
+    with pytest.raises(BoundExceeded):
+        classify(3, max_n=2)
 
 
 def test_enumeration_rejects_non_int_sizes():
@@ -231,6 +243,41 @@ def test_semigroup_counts_match_published_sequences():
     assert iso_or_anti == [1, 4, 18, 126]
 
 
+def leaders(n):
+    """The lex leaders among the associative tables of order n."""
+    return [t.entries for t in _fill(n, [(None, None, None, None)], leaders=True)]
+
+
+def test_leaders_are_the_least_left_tables_of_the_stream():
+    for n, count in ((1, 1), (2, 5), (3, 24), (4, 188)):
+        lead = leaders(n)
+        assert lead == sorted({_least_left(n, t.entries)[0] for t in enumerate_semigroups(n)})
+        assert len(lead) == count
+
+
+def test_leaders_match_published_semigroup_counts():
+    # by full scans of S_n, no orbit index: each leader is its own least
+    # relabeling, the orbit sizes n!/|Aut L| add up to the labeled semigroups
+    # (OEIS A023814), and merging each leader with the least relabeling of its
+    # transpose counts classes up to isomorphism or anti-isomorphism (A001423)
+    labeled, iso_or_anti = [], []
+    for n in (1, 2, 3, 4, 5):
+        lead = leaders(n)
+        relabelings = _symmetric_group(n).relabelings
+        total, merged = 0, set()
+        for t in lead:
+            images = [tuple(map(img, gather(t))) for img, gather in relabelings]
+            assert min(images) == t
+            total += factorial(n) // images.count(t)
+            u = dual_table(OpTable(n, t)).entries
+            merged.add(min(t, *(tuple(map(img, gather(u))) for img, gather in relabelings)))
+        labeled.append(total)
+        iso_or_anti.append(len(merged))
+    assert len(lead) == 1915 and lead == sorted(set(lead))
+    assert labeled == [1, 8, 113, 3492, 183732]
+    assert iso_or_anti == [1, 4, 18, 126, 1160]
+
+
 def test_every_commutative_trivial_pair_is_enumerated(semigroups):
     commutative = [t for t in semigroups[2] if semigroup_class(t).commutative]
     found = {(d.left, d.right) for d in enumerate_dimonoids(2)}
@@ -338,6 +385,26 @@ def test_classify_runs_no_automorphism_search(monkeypatch):
     for (n, quotient), digest in CATALOG_DIGESTS.items():
         text = dumps_catalog(classify(n, quotient, max_n=4))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
+
+
+def test_classify_trusts_the_axioms_the_fill_enforced(monkeypatch):
+    # the representatives carry an all-ok report, so no report is rebuilt
+    def refuse(left, right):
+        raise AssertionError("classify rebuilt an axiom report")
+
+    monkeypatch.setattr(dimonoid, "_axiom_report", refuse)
+    for (n, quotient), digest in CATALOG_DIGESTS.items():
+        text = dumps_catalog(classify(n, quotient, max_n=4))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
+
+
+def test_carried_reports_equal_the_recomputed_ones():
+    for n in (1, 2, 3, 4):
+        for e in classify(n, max_n=4):
+            rep = e.canonical
+            assert rep.axiom_status == check_axioms(rep)
+            twin = pair(rep.left, rep.right)
+            assert rep == twin and hash(rep) == hash(twin)
 
 
 def test_save_load_round_trip(tmp_path, catalogs):
