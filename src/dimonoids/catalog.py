@@ -4,12 +4,14 @@ persistence, and the consolidated structural-theorem verification suite.
 
 Both enumerators run on one backtracking engine, `_fill`: semigroups against
 associativity, and the right tables of a left table against the axiom
-bindings of `dimonoid.AXIOM_BINDINGS`.  The labeled dimonoid stream fills the
-right tables once per semigroup class, for its least relabeled left table,
-and relabels them onto every labeled left table of the class.  `classify`
-never builds the labeled stream: `_fill` with its lex-leader prune yields
-exactly those least left tables (orderly generation), and the labeled count
-and automorphism order of each class are read off the orbit sizes of the
+bindings of `dimonoid.AXIOM_BINDINGS`.  With its lex-leader prune, `_fill`
+yields exactly the least relabeled left table of each semigroup class
+(orderly generation).  The labeled dimonoid stream expands each leader into
+the labeled left tables of its class by the one relabeling scan that fills
+the orbit index of `morphisms`, fills the right tables once per class, for
+the leader, and relabels them onto every labeled left table of the class.
+`classify` never builds the labeled stream: the labeled count and
+automorphism order of each class are read off the orbit sizes of the
 leaders and how many right tables reach its key.  Enumeration is
 deterministic: tables are emitted in lexicographic order of their entry
 tuples, and catalogs are sorted by canonical form, so a catalog's bytes
@@ -29,6 +31,7 @@ from .dimonoid import (
     AXIOM_BINDINGS,
     DiFlags,
     DiTable,
+    _di_flags,
     _known_dimonoid,
     axioms_ok,
     di_flags,
@@ -47,6 +50,7 @@ from .families import (
 from .morphisms import (
     _least_left,
     _left_orbit,
+    _scan_left_orbit,
     _symmetric_group,
     automorphisms,
     canonical_key,
@@ -100,11 +104,13 @@ def _fill(n: int, bindings: list[tuple], leaders: bool = False) -> Iterator[OpTa
     set and its forced cells propagated.  For each relabeling p other than
     the identity it walks the cells in row-major order while both p(t) and t
     are set there: the first cell where they differ decides, and p(t) smaller
-    there cuts the branch, since every completion keeps those cells.  On a
-    full table the walk is the whole comparison, so exactly the leaders
-    remain.  It is sound only for bindings that every relabeling preserves,
-    those without a fixed table, such as associativity; the labeled route
-    descends without it.
+    there cuts the branch, since every completion keeps those cells.  The
+    walk is incremental: each node keeps the relabelings still tied with the
+    cell where each walk stopped, and its children resume from there; one
+    found greater is dropped for the whole subtree.  On a full table the walk
+    is the whole comparison, so exactly the leaders remain.  It is sound only
+    for bindings that every relabeling preserves, those without a fixed
+    table, such as associativity; the labeled route descends without it.
     """
     size = n * n
     rng = range(n)
@@ -232,29 +238,37 @@ def _fill(n: int, bindings: list[tuple], leaders: bool = False) -> Iterator[OpTa
             undo(mark)
 
     if leaders:
-        # each p other than the identity as (its images, for each cell of
-        # p(t) the cell of t it reads): the gather of the cell indices
+        # the relabelings p other than the identity still tied with t, one
+        # list per depth: each as (its images, for each cell of p(t) the cell
+        # of t it reads, the first cell its walk has not passed)
         relabelings = _symmetric_group(n).relabelings[1:]
         cell_ids = tuple(range(size))
-        perms = [(tuple(map(img, rng)), gather(cell_ids)) for img, gather in relabelings]
+        ties = [[(tuple(map(img, rng)), gather(cell_ids), 0) for img, gather in relabelings]]
 
-        def leading() -> bool:
-            for img, src in perms:
-                for t, j in zip(e, src):
-                    if t is None:
-                        break
-                    u = e[j]
-                    if u is None:
+        def descend(k: int) -> Iterator[OpTable]:
+            tied = []
+            for tie in ties[-1]:
+                img, src, start = tie
+                j = start
+                while j < size:
+                    t = e[j]
+                    u = e[src[j]]
+                    if t is None or u is None:
+                        tied.append(tie if j == start else (img, src, j))
                         break
                     u = img[u]
                     if u != t:
                         if u < t:
-                            return False
-                        break
-            return True
-
-        def descend(k: int) -> Iterator[OpTable]:
-            return fill(k) if leading() else iter(())
+                            return
+                        break  # p(t) is greater in every completion: dropped
+                    j += 1
+                else:
+                    tied.append((img, src, j))  # an automorphism of the full table
+            ties.append(tied)
+            try:
+                yield from fill(k)
+            finally:
+                ties.pop()
     else:
         descend = fill
 
@@ -325,22 +339,32 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     with its right tables in lexicographic entry order.  The primary route;
     yields exactly the sequence of enumerate_dimonoids.
 
+    The labeled left tables are not enumerated: `_fill` with its leader prune
+    yields the least relabeled table L0 of each semigroup class, and the one
+    n! scan of L0 in the orbit index of `morphisms` hands back every labeled
+    table of its class and indexes them.  Sorted, they are the labeled
+    semigroups in lexicographic order, all built before the first yield.
+
     A relabeling p is an isomorphism from (L, R) to (p(L), p(R)), so the right
     tables of a left table L are p^-1 applied to those of p(L).  The right
-    tables are filled (see `_right_tables`) once per semigroup class, for its
-    least relabeled left table L0, and each labeled L takes them relabeled by
-    the inverse of a p with p(L) = L0.  L0 and p come from the orbit index of
-    `morphisms`, which scans the relabelings of one left table per class, so
-    the canonical_key of a streamed dimonoid finds its left table indexed.
+    tables are filled (see `_right_tables`) once per class, for L0, and each
+    labeled L takes them relabeled by the inverse of a p with p(L) = L0, read
+    from the index, so the canonical_key of a streamed dimonoid finds its
+    left table indexed too.
     """
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
+    lefts = [left for leader in _fill(n, _ASSOCIATIVITY, leaders=True)
+             for left in _scan_left_orbit(n, leader.entries)]
+    lefts.sort()
     filled: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for left in enumerate_semigroups(n, max_n):
-        least, back = _least_left(n, left.entries)
+    for entries in lefts:
+        least, back = _least_left(n, entries)
         rights = filled.get(least)
         if rights is None:
             rights = filled[least] = [r.entries for r in _right_tables(OpTable(n, least))]
+        left = OpTable(n, entries)
         # built in one batch, so that each later next() costs only a pair()
         for right in [OpTable(n, r) for r in sorted(map(back, rights))]:
             yield pair(left, right)
@@ -437,10 +461,12 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     keys = sorted(rights)
     index = {key: i for i, key in enumerate(keys)}
     reps = [_known_dimonoid(OpTable(n, kl), OpTable(n, kr)) for kl, kr in keys]
-    dual_of = [index[canonical_key(dual_dimonoid(d))] for d in reps]
-    counts = [lefts[kl] * rights[kl, kr] for kl, kr in keys]
-    entries = [CatalogEntry(d, di_flags(d), len(halo(d)), fact // count, count, dual)
-               for d, count, dual in zip(reps, counts, dual_of)]
+    entries = []
+    for d, key in zip(reps, keys):
+        count = lefts[key[0]] * rights[key]
+        dual = dual_dimonoid(d)  # built once, for the dual class and the flags
+        entries.append(CatalogEntry(d, _di_flags(d, dual), len(halo(d)), fact // count,
+                                    count, index[canonical_key(dual)]))
     if quotient == "iso":
         return entries
     merged: list[CatalogEntry] = []

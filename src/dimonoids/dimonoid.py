@@ -240,10 +240,15 @@ def di_flags(d: DiTable) -> DiFlags:
     the test suite asserts that they do.
     """
     _require_dimonoid(d)
+    return _di_flags(d, dual_dimonoid(d))
+
+
+def _di_flags(d: DiTable, dual: DiTable) -> DiFlags:
+    """di_flags of the dimonoid d, given its dual, for callers that have
+    built the dual already."""
     n, le, re_ = d.n, d.left.entries, d.right.entries
     rng = range(n)
     abelian = all(le[x * n + y] == re_[y * n + x] for x in rng for y in rng)
-    dual = dual_dimonoid(d)
     return DiFlags(
         trivial=d.left == d.right,
         # each table equals its transpose; the dual holds both transposes, swapped

@@ -15,7 +15,8 @@ canonical_key is an n! scan up to CANONICAL_BOUND, done once per semigroup
 class: the scan of one left table relabels it onto every table of its class,
 and an orbit index keeps, for each of them, the least table L0 of the class
 with Aut(L0) and one relabeling onto L0.  The labeled dimonoid stream and
-classify read the same index.
+classify read the same index, and the stream takes the labeled left tables
+of each class from the tables the scan of its L0 hands back.
 
 Every function here also accepts a bare OpTable where a dimonoid is expected,
 treating it as the trivial dimonoid whose two operations coincide; that makes
@@ -499,10 +500,11 @@ _OrbitEntry = tuple[tuple[tuple[int, ...], tuple[int, ...]], int]
 _orbit_index: dict[tuple[int, ...], _OrbitEntry] = {}
 
 
-def _scan_left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
+def _scan_left_orbit(n: int, left: tuple[int, ...]) -> dict[tuple[int, ...], _OrbitEntry]:
     """Relabel `left` by every member of S_n and index every image it takes,
     clearing the index first when the images would not fit under
-    ORBIT_INDEX_BOUND.  Returns the entry of `left`."""
+    ORBIT_INDEX_BOUND.  Returns the images with their entries, `left` first:
+    the labeled tables of its semigroup class, each once."""
     relabelings, after, inverse = _symmetric_group(n)
     parts = [tuple(map(img, cells(left))) for img, cells in relabelings]
     least = min(parts)
@@ -519,7 +521,7 @@ def _scan_left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
     if len(_orbit_index) + len(orbit) > ORBIT_INDEX_BOUND:
         _orbit_index.clear()
     _orbit_index.update(islice(orbit.items(), ORBIT_INDEX_BOUND))
-    return orbit[left]
+    return orbit
 
 
 def _left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
@@ -528,7 +530,7 @@ def _left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
     index of the first relabeling s, in lexicographic order, with
     s(left) = L0.  Read from the orbit index, scanning on a miss."""
     entry = _orbit_index.get(left)
-    return _scan_left_orbit(n, left) if entry is None else entry
+    return _scan_left_orbit(n, left)[left] if entry is None else entry
 
 
 def _least_left(n: int, left: tuple[int, ...]

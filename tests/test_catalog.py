@@ -47,6 +47,9 @@ SEMIGROUP_COUNTS = {1: 1, 2: 8, 3: 113}
 DIMONOID_COUNTS = {1: 1, 2: 13, 3: 267}
 CLASS_COUNTS = {1: 1, 2: 8, 3: 52}
 CLASS_COUNTS_MOD_DUALITY = {1: 1, 2: 6, 3: 35}
+# SHA-256 over the entries of the left then right table of each labeled
+# dimonoid of order 4, in the order the stream yields them
+ORDER_FOUR_STREAM_SHA256 = "9df06a0f08e42fb299b799f4e7c82d8e2726515b12d4288969891d4f714465f6"
 
 
 def test_semigroup_counts_and_brute_agreement(semigroups):
@@ -79,6 +82,8 @@ def test_enumeration_bounds():
         classify(4)
     with pytest.raises(EmptyCarrier):
         list(enumerate_semigroups(0))
+    with pytest.raises(EmptyCarrier):
+        list(enumerate_dimonoids_backtracking(0))
     with pytest.raises(BoundExceeded):
         run_theorem_suite(7)
     with pytest.raises(BoundExceeded):
@@ -86,8 +91,8 @@ def test_enumeration_bounds():
 
 
 def test_max_n_reaches_the_semigroup_stream(monkeypatch):
-    # a caller's max_n bounds the semigroups under the dimonoids too, so
-    # order 5 needs no other setting
+    # a caller's max_n bounds the lex-leader fill under the dimonoid stream,
+    # so order 5 needs no other setting
     d = next(enumerate_dimonoids_backtracking(5, max_n=5))
     assert d.n == 5 and d.is_dimonoid
     bounds = []
@@ -104,11 +109,14 @@ def test_max_n_reaches_the_semigroup_stream(monkeypatch):
     assert bounds == [2]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("classify filled past its bound")
+        raise AssertionError("filled past the bound")
 
     monkeypatch.setattr(catalog, "_fill", refuse)
     with pytest.raises(BoundExceeded):
         classify(3, max_n=2)
+    # so does the dimonoid stream
+    with pytest.raises(BoundExceeded):
+        list(enumerate_dimonoids_backtracking(4, max_n=3))
 
 
 def test_enumeration_rejects_non_int_sizes():
@@ -118,6 +126,8 @@ def test_enumeration_rejects_non_int_sizes():
             list(enumerate_semigroups(n))
         with pytest.raises(SizeMismatch):
             list(enumerate_semigroups_brute(n))
+        with pytest.raises(SizeMismatch):
+            list(enumerate_dimonoids_backtracking(n))
         with pytest.raises(SizeMismatch):
             classify(n)
         with pytest.raises(SizeMismatch):
@@ -164,8 +174,19 @@ def test_order_four_yield_order_is_pinned(order_four):
     assert hashlib.sha256(semigroups).hexdigest() == \
         "d9c1e89ffd5eda52106e05031849e10dd19e0d50e181db6b0ad0986bb98e4f64"
     dimonoids = b"".join(bytes(d.left.entries + d.right.entries) for d in order_four)
-    assert hashlib.sha256(dimonoids).hexdigest() == \
-        "9df06a0f08e42fb299b799f4e7c82d8e2726515b12d4288969891d4f714465f6"
+    assert hashlib.sha256(dimonoids).hexdigest() == ORDER_FOUR_STREAM_SHA256
+
+
+def test_order_four_stream_reads_no_semigroup_stream(monkeypatch):
+    # the stream expands the lex leaders over their orbits instead of
+    # enumerating the labeled semigroups; its yield order is the pinned one
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stream enumerated the labeled semigroups")
+
+    monkeypatch.setattr(catalog, "enumerate_semigroups", refuse)
+    stream = b"".join(bytes(d.left.entries + d.right.entries)
+                      for d in enumerate_dimonoids_backtracking(4, max_n=4))
+    assert hashlib.sha256(stream).hexdigest() == ORDER_FOUR_STREAM_SHA256
 
 
 def test_order_four_stream_equals_the_direct_fill(order_four):
