@@ -48,7 +48,6 @@ from .families import (
     right_zero_sg,
 )
 from .morphisms import (
-    _least_left,
     _left_orbit,
     _scan_left_orbit,
     _symmetric_group,
@@ -310,6 +309,7 @@ def enumerate_dimonoids(n: int, max_n: int = DIMONOID_ENUM_BOUND) -> Iterator[Di
     filtered through the three pairing axioms.  Deterministic order (left
     table lexicographic, then right).  The independent cross-check of
     enumerate_dimonoids_backtracking."""
+    check_size(n)
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
     sgs = list(enumerate_semigroups(n, max_n))
@@ -348,25 +348,27 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     A relabeling p is an isomorphism from (L, R) to (p(L), p(R)), so the right
     tables of a left table L are p^-1 applied to those of p(L).  The right
     tables are filled (see `_right_tables`) once per class, for L0, and each
-    labeled L takes them relabeled by the inverse of a p with p(L) = L0, read
-    from the index, so the canonical_key of a streamed dimonoid finds its
-    left table indexed too.
+    labeled L takes them relabeled by the inverse of the first p with
+    p(L) = L0, read off the entry the scan gave L.  The scan indexes L too,
+    so the canonical_key of a streamed dimonoid finds its left table there.
     """
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    lefts = [left for leader in _fill(n, _ASSOCIATIVITY, leaders=True)
-             for left in _scan_left_orbit(n, leader.entries)]
+    lefts = [item for leader in _fill(n, _ASSOCIATIVITY, leaders=True)
+             for item in _scan_left_orbit(n, leader.entries).items()]
     lefts.sort()
+    relabelings, _, inverse = _symmetric_group(n)
     filled: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for entries in lefts:
-        least, back = _least_left(n, entries)
+    for entries, ((least, _), first) in lefts:
         rights = filled.get(least)
         if rights is None:
             rights = filled[least] = [r.entries for r in _right_tables(OpTable(n, least))]
+        img, cells = relabelings[inverse[first]]
         left = OpTable(n, entries)
         # built in one batch, so that each later next() costs only a pair()
-        for right in [OpTable(n, r) for r in sorted(map(back, rights))]:
+        back = sorted(tuple(map(img, cells(r))) for r in rights)
+        for right in [OpTable(n, r) for r in back]:
             yield pair(left, right)
 
 

@@ -1,14 +1,18 @@
 """Constructors for the named semigroup families.
 
-Left-handed forms are built directly from their case-split definitions; every
-right-handed variant (RO, ROB, RO_arrow, RO_tilde0) is the dual of the
-matching left-handed table and has no separate code path, so the two can
-never drift apart.
+Left-handed forms are built directly from their case-split definitions.  Each
+family is one row of a private table: its left-handed constructor, the
+parameters that takes, whether the family is the dual of that table, how far
+its carrier exceeds n, and its valid parameter choices at n.  `build`,
+`family_sweep` and `FAMILIES` all read that table, and every right-handed
+family (RO, RO_tilde0, ROB, RO_arrow) is the row of its left-handed twin
+marked dual, so `build` makes it with `dual_table` and the two can never
+drift apart.  `right_zero_sg` stays as a direct constructor for callers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     ANotContainingA,
@@ -22,30 +26,9 @@ from .errors import (
 )
 from .tables import OpTable, adjoin_zero, check_size, dual_table
 
-FAMILIES = (
-    "O", "O_A", "LO", "RO", "LO_tilde0", "RO_tilde0",
-    "LOB", "ROB", "LO_arrow", "RO_arrow", "plus_zero",
-)
-
 # The largest carrier `build` constructs: a table holds carrier^2 entries, so
-# a larger request is refused before anything is allocated.  The families of
-# _ZERO_ADJOINED adjoin a zero at index n, so their carrier is n + 1.
+# a larger request is refused before anything is allocated.
 BUILD_BOUND = 256
-_ZERO_ADJOINED = frozenset({"LO_tilde0", "RO_tilde0", "plus_zero"})
-
-_REQUIRED = {
-    "O": frozenset({"zero"}),
-    "O_A": frozenset({"zero", "A"}),
-    "LO": frozenset(),
-    "RO": frozenset(),
-    "LO_tilde0": frozenset({"A"}),
-    "RO_tilde0": frozenset({"A"}),
-    "LOB": frozenset({"a", "c"}),
-    "ROB": frozenset({"a", "c"}),
-    "LO_arrow": frozenset({"A", "a"}),
-    "RO_arrow": frozenset({"A", "a"}),
-    "plus_zero": frozenset(),
-}
 
 
 def _check_index(v: int, n: int, what: str) -> None:
@@ -211,6 +194,54 @@ def make_params(family: str, n: int, A: Optional[Iterable[int]] = None,
     return FamilyParams(family, n, None if A is None else frozenset(A), a, c, zero)
 
 
+def subsets(universe: Iterable[int]) -> Iterator[frozenset[int]]:
+    """All subsets of a finite index set, in deterministic bitmask order."""
+    items = sorted(universe)
+    for mask in range(1 << len(items)):
+        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+
+
+class _Family(NamedTuple):
+    make: Callable[..., OpTable]  # the left-handed constructor, called with n first
+    params: tuple[str, ...]  # the FamilyParams fields it takes after n, in call order
+    dual: bool  # the family is the dual of the constructed table
+    extra: int  # carrier size minus n: 1 where a zero is adjoined at index n
+    choices: Callable[[int], Iterable[tuple]]  # every valid value tuple at n
+
+
+def _no_params(n: int) -> list[tuple]:
+    return [()]
+
+
+def _all_subsets(n: int) -> Iterator[tuple]:
+    return ((A,) for A in subsets(range(n)))
+
+
+def _distinct_pairs(n: int) -> Iterator[tuple]:
+    return ((a, c) for a in range(n) for c in range(n) if a != c)
+
+
+def _anchored_subsets(n: int) -> Iterator[tuple]:
+    return ((A, a) for A in subsets(range(n)) for a in sorted(A))
+
+
+_FAMILY_ROWS = {
+    "O": _Family(null_sg, ("zero",), False, 0, lambda n: ((z,) for z in range(n))),
+    "O_A": _Family(o_with_fixed, ("zero", "A"), False, 0, lambda n: (
+        (z, A) for z in range(n) for A in subsets(set(range(n)) - {z}))),
+    "LO": _Family(left_zero_sg, (), False, 0, _no_params),
+    "RO": _Family(left_zero_sg, (), True, 0, _no_params),
+    "LO_tilde0": _Family(lo_tilde0, ("A",), False, 1, _all_subsets),
+    "RO_tilde0": _Family(lo_tilde0, ("A",), True, 1, _all_subsets),
+    "LOB": _Family(lob, ("a", "c"), False, 0, _distinct_pairs),
+    "ROB": _Family(lob, ("a", "c"), True, 0, _distinct_pairs),
+    "LO_arrow": _Family(lo_arrow, ("A", "a"), False, 0, _anchored_subsets),
+    "RO_arrow": _Family(lo_arrow, ("A", "a"), True, 0, _anchored_subsets),
+    "plus_zero": _Family(plus_zero_lo, (), False, 1, _no_params),
+}
+FAMILIES = tuple(_FAMILY_ROWS)
+
+
 def build(params: FamilyParams) -> OpTable:
     """Dispatch a parameter record to its family constructor.
 
@@ -219,72 +250,26 @@ def build(params: FamilyParams) -> OpTable:
     refused with BoundExceeded before any table is built.
     """
     fam = params.family
-    if fam not in _REQUIRED:
+    row = _FAMILY_ROWS.get(fam)
+    if row is None:
         raise BadFamilyParams(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
     present = {k for k in ("A", "a", "c", "zero") if getattr(params, k) is not None}
-    if present != _REQUIRED[fam]:
+    if present != set(row.params):
         raise BadFamilyParams(
-            f"family {fam} takes exactly {sorted(_REQUIRED[fam])}, got {sorted(present)}"
+            f"family {fam} takes exactly {sorted(row.params)}, got {sorted(present)}"
         )
     n = params.n
-    if isinstance(n, int) and n + (fam in _ZERO_ADJOINED) > BUILD_BOUND:
+    if isinstance(n, int) and n + row.extra > BUILD_BOUND:
         raise BoundExceeded(f"build limited to carriers of at most {BUILD_BOUND} elements")
-    if fam == "O":
-        return null_sg(n, params.zero)
-    if fam == "O_A":
-        return o_with_fixed(n, params.zero, params.A)
-    if fam == "LO":
-        return left_zero_sg(n)
-    if fam == "RO":
-        return right_zero_sg(n)
-    if fam == "LO_tilde0":
-        return lo_tilde0(n, params.A)
-    if fam == "RO_tilde0":
-        return dual_table(lo_tilde0(n, params.A))
-    if fam == "LOB":
-        return lob(n, params.a, params.c)
-    if fam == "ROB":
-        return dual_table(lob(n, params.a, params.c))
-    if fam == "LO_arrow":
-        return lo_arrow(n, params.A, params.a)
-    if fam == "RO_arrow":
-        return dual_table(lo_arrow(n, params.A, params.a))
-    return plus_zero_lo(n)
-
-
-def subsets(universe: Iterable[int]) -> Iterator[frozenset[int]]:
-    """All subsets of a finite index set, in deterministic bitmask order."""
-    items = sorted(universe)
-    for mask in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+    table = row.make(n, *[getattr(params, k) for k in row.params])
+    return dual_table(table) if row.dual else table
 
 
 def family_sweep(n_max: int) -> Iterator[tuple[FamilyParams, OpTable]]:
     """Every valid parameter choice for every family with 1 <= n <= n_max,
-    built through the dispatcher."""
+    each n in FAMILIES order, built through the dispatcher."""
     for n in range(1, n_max + 1):
-        for fam in ("LO", "RO", "plus_zero"):
-            p = make_params(fam, n)
-            yield p, build(p)
-        for zero in range(n):
-            p = make_params("O", n, zero=zero)
-            yield p, build(p)
-            for A in subsets(set(range(n)) - {zero}):
-                p = make_params("O_A", n, A=A, zero=zero)
+        for fam, row in _FAMILY_ROWS.items():
+            for values in row.choices(n):
+                p = FamilyParams(fam, n, **dict(zip(row.params, values)))
                 yield p, build(p)
-        for A in subsets(range(n)):
-            for fam in ("LO_tilde0", "RO_tilde0"):
-                p = make_params(fam, n, A=A)
-                yield p, build(p)
-            if A:
-                for a in sorted(A):
-                    for fam in ("LO_arrow", "RO_arrow"):
-                        p = make_params(fam, n, A=A, a=a)
-                        yield p, build(p)
-        if n >= 2:
-            for a in range(n):
-                for c in range(n):
-                    if a != c:
-                        for fam in ("LOB", "ROB"):
-                            p = make_params(fam, n, a=a, c=c)
-                            yield p, build(p)

@@ -533,17 +533,6 @@ def _left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
     return _scan_left_orbit(n, left)[left] if entry is None else entry
 
 
-def _least_left(n: int, left: tuple[int, ...]
-                ) -> tuple[tuple[int, ...], Callable[[tuple[int, ...]], tuple[int, ...]]]:
-    """The least relabeled table L0 of the left table `left`, and the
-    relabeling of entry tuples by s^-1 for the first s with s(left) = L0: it
-    carries the right tables of L0 onto those of `left`."""
-    (least, _), first = _left_orbit(n, left)
-    group = _symmetric_group(n)
-    img, cells = group.relabelings[group.inverse[first]]
-    return least, lambda entries: tuple(map(img, cells(entries)))
-
-
 def canonical_key(d: Union[OpTable, DiTable]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lexicographically least (left entries, right entries) over all
     relabelings; the comparison key behind canonical_form.  The left part

@@ -39,7 +39,7 @@ from dimonoids import (
 )
 from dimonoids.catalog import _fill, _right_tables, check_construction_case
 from dimonoids.dimonoid import AXIOM_BINDINGS
-from dimonoids.morphisms import _least_left, _symmetric_group
+from dimonoids.morphisms import _symmetric_group
 
 # counts produced by this package's own enumerators and cross-checked by the
 # brute-force route below; the order <= 3 numbers are frozen here on purpose
@@ -120,12 +120,15 @@ def test_max_n_reaches_the_semigroup_stream(monkeypatch):
 
 
 def test_enumeration_rejects_non_int_sizes():
-    # a bool size would otherwise reach the catalog as "n": true
-    for n in (True, 2.0):
+    # a bool size would otherwise reach the catalog as "n": true, and a
+    # string or None would fail the bound comparison with a bare TypeError
+    for n in (True, 2.0, "x", None):
         with pytest.raises(SizeMismatch):
             list(enumerate_semigroups(n))
         with pytest.raises(SizeMismatch):
             list(enumerate_semigroups_brute(n))
+        with pytest.raises(SizeMismatch):
+            list(enumerate_dimonoids(n))
         with pytest.raises(SizeMismatch):
             list(enumerate_dimonoids_backtracking(n))
         with pytest.raises(SizeMismatch):
@@ -272,7 +275,7 @@ def leaders(n):
 def test_leaders_are_the_least_left_tables_of_the_stream():
     for n, count in ((1, 1), (2, 5), (3, 24), (4, 188)):
         lead = leaders(n)
-        assert lead == sorted({_least_left(n, t.entries)[0] for t in enumerate_semigroups(n)})
+        assert lead == sorted({canonical_key(t)[0] for t in enumerate_semigroups(n)})
         assert len(lead) == count
 
 

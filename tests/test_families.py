@@ -1,6 +1,9 @@
+from collections import defaultdict
+
 import pytest
 
 from dimonoids import (
+    FAMILIES,
     ANotContainingA,
     BadFamilyParams,
     CarrierTooSmall,
@@ -140,6 +143,61 @@ def test_family_params_are_immutable_values():
     assert p == q and hash(p) == hash(q)
     with pytest.raises(AttributeError):
         p.n = 4
+
+
+# each family's table, from its constructor called directly
+_DIRECT = {
+    "O": lambda p: null_sg(p.n, p.zero),
+    "O_A": lambda p: o_with_fixed(p.n, p.zero, p.A),
+    "LO": lambda p: left_zero_sg(p.n),
+    "RO": lambda p: right_zero_sg(p.n),
+    "LO_tilde0": lambda p: lo_tilde0(p.n, p.A),
+    "RO_tilde0": lambda p: dual_table(lo_tilde0(p.n, p.A)),
+    "LOB": lambda p: lob(p.n, p.a, p.c),
+    "ROB": lambda p: dual_table(lob(p.n, p.a, p.c)),
+    "LO_arrow": lambda p: lo_arrow(p.n, p.A, p.a),
+    "RO_arrow": lambda p: dual_table(lo_arrow(p.n, p.A, p.a)),
+    "plus_zero": lambda p: plus_zero_lo(p.n),
+}
+
+
+def _valid_params(n):
+    """Every valid parameter choice of every family at n, loop by loop."""
+    out = {make_params(fam, n) for fam in ("LO", "RO", "plus_zero")}
+    for zero in range(n):
+        out.add(make_params("O", n, zero=zero))
+        for A in subsets(set(range(n)) - {zero}):
+            out.add(make_params("O_A", n, A=A, zero=zero))
+    for A in subsets(range(n)):
+        for fam in ("LO_tilde0", "RO_tilde0"):
+            out.add(make_params(fam, n, A=A))
+        for a in sorted(A):
+            for fam in ("LO_arrow", "RO_arrow"):
+                out.add(make_params(fam, n, A=A, a=a))
+    for a in range(n):
+        for c in range(n):
+            if a != c:
+                for fam in ("LOB", "ROB"):
+                    out.add(make_params(fam, n, a=a, c=c))
+    return out
+
+
+def test_families_keep_their_order():
+    # the benchmark's CLI workload draws a family by its position here
+    assert FAMILIES == ("O", "O_A", "LO", "RO", "LO_tilde0", "RO_tilde0",
+                        "LOB", "ROB", "LO_arrow", "RO_arrow", "plus_zero")
+
+
+def test_family_sweep_matches_the_constructors_up_to_five():
+    swept = defaultdict(list)
+    for params, table in family_sweep(5):
+        assert table == _DIRECT[params.family](params), params
+        swept[params.n].append(params)
+    assert sorted(swept) == [1, 2, 3, 4, 5]
+    assert sum(map(len, swept.values())) == 621
+    for n, params in swept.items():
+        assert len(set(params)) == len(params)
+        assert set(params) == _valid_params(n), n
 
 
 def test_every_family_table_is_associative_up_to_four():
