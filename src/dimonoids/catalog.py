@@ -6,13 +6,15 @@ Both enumerators run on one backtracking engine, `_fill`: semigroups against
 associativity, and the right tables of a left table against the axiom
 bindings of `dimonoid.AXIOM_BINDINGS`.  With its lex-leader prune, `_fill`
 yields exactly the least relabeled left table of each semigroup class
-(orderly generation).  The labeled dimonoid stream expands each leader into
-the labeled left tables of its class by the one relabeling scan that fills
-the orbit index of `morphisms`, fills the right tables once per class, for
-the leader, and relabels them onto every labeled left table of the class.
-`classify` never builds the labeled stream: the labeled count and
-automorphism order of each class are read off the orbit sizes of the
-leaders and how many right tables reach its key.  Enumeration is
+(orderly generation), together with its automorphisms: the relabelings
+the prune found still tied with it.  The labeled dimonoid stream expands each
+leader into the labeled left tables of its class by relabeling it by every
+member of S_n, fills the right tables once per class, for the leader, and
+relabels them along with it.  `classify` never builds the labeled stream: it
+keys each dimonoid over a leader by the least image of its right table under
+the leader's automorphisms, and reads the labeled count and automorphism
+order of each class off the leader's automorphism group and how many right
+tables reach its key.  Enumeration is
 deterministic: tables are emitted in lexicographic order of their entry
 tuples, and catalogs are sorted by canonical form, so a catalog's bytes
 depend only on its order and quotient.
@@ -48,8 +50,7 @@ from .families import (
     right_zero_sg,
 )
 from .morphisms import (
-    _left_orbit,
-    _scan_left_orbit,
+    Relabeling,
     _symmetric_group,
     automorphisms,
     canonical_key,
@@ -58,6 +59,7 @@ from .morphisms import (
 )
 from .tables import (
     OpTable,
+    assoc_witness,
     check_size,
     dual_table,
     element_roles,
@@ -82,11 +84,13 @@ class _Conflict(Exception):
     """An instance of a binding fails on the cells set so far."""
 
 
-def _fill(n: int, bindings: list[tuple], leaders: bool = False) -> Iterator[OpTable]:
+def _fill(n: int, bindings: list[tuple], leaders: bool = False
+          ) -> Iterator[OpTable | tuple[OpTable, list[Relabeling]]]:
     """Every table t on 0..n-1 with (a q b) p c = a r (b s c) for all a, b, c
     and every binding (p, q, r, s), in lexicographic entry order; with
     `leaders`, only the lex leaders among them, the tables no relabeling
-    makes lexicographically smaller.
+    makes lexicographically smaller, each as (t, its automorphisms other
+    than the identity, as relabelings of `morphisms._symmetric_group`).
 
     Each place of a binding holds a fixed row-major entry tuple, or None for t
     itself.  A binding without a None place reads only fixed tables and is
@@ -107,7 +111,8 @@ def _fill(n: int, bindings: list[tuple], leaders: bool = False) -> Iterator[OpTa
     walk is incremental: each node keeps the relabelings still tied with the
     cell where each walk stopped, and its children resume from there; one
     found greater is dropped for the whole subtree.  On a full table the walk
-    is the whole comparison, so exactly the leaders remain.  It is sound only
+    is the whole comparison, so exactly the leaders remain, and the
+    relabelings still tied with a leader are its automorphisms.  It is sound only
     for bindings that every relabeling preserves, those without a fixed
     table, such as associativity; the labeled route descends without it.
     """
@@ -223,7 +228,9 @@ def _fill(n: int, bindings: list[tuple], leaders: bool = False) -> Iterator[OpTa
         while k < size and e[k] is not None:
             k += 1
         if k == size:
-            yield OpTable(n, tuple(e))  # type: ignore[arg-type]
+            table = OpTable(n, tuple(e))  # type: ignore[arg-type]
+            # a full table is tied only with its automorphisms
+            yield (table, [tie[3] for tie in ties[-1]]) if leaders else table
             return
         mark = len(trail)
         for v in domain[k]:
@@ -239,21 +246,21 @@ def _fill(n: int, bindings: list[tuple], leaders: bool = False) -> Iterator[OpTa
     if leaders:
         # the relabelings p other than the identity still tied with t, one
         # list per depth: each as (its images, for each cell of p(t) the cell
-        # of t it reads, the first cell its walk has not passed)
-        relabelings = _symmetric_group(n).relabelings[1:]
+        # of t it reads, the first cell its walk has not passed, p itself)
         cell_ids = tuple(range(size))
-        ties = [[(tuple(map(img, rng)), gather(cell_ids), 0) for img, gather in relabelings]]
+        ties = [[(tuple(map(p[0], rng)), p[1](cell_ids), 0, p)
+                 for p in _symmetric_group(n).relabelings[1:]]]
 
         def descend(k: int) -> Iterator[OpTable]:
             tied = []
             for tie in ties[-1]:
-                img, src, start = tie
+                img, src, start, p = tie
                 j = start
                 while j < size:
                     t = e[j]
                     u = e[src[j]]
                     if t is None or u is None:
-                        tied.append(tie if j == start else (img, src, j))
+                        tied.append(tie if j == start else (img, src, j, p))
                         break
                     u = img[u]
                     if u != t:
@@ -262,7 +269,7 @@ def _fill(n: int, bindings: list[tuple], leaders: bool = False) -> Iterator[OpTa
                         break  # p(t) is greater in every completion: dropped
                     j += 1
                 else:
-                    tied.append((img, src, j))  # an automorphism of the full table
+                    tied.append((img, src, j, p))  # an automorphism of the full table
             ties.append(tied)
             try:
                 yield from fill(k)
@@ -340,35 +347,37 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     yields exactly the sequence of enumerate_dimonoids.
 
     The labeled left tables are not enumerated: `_fill` with its leader prune
-    yields the least relabeled table L0 of each semigroup class, and the one
-    n! scan of L0 in the orbit index of `morphisms` hands back every labeled
-    table of its class and indexes them.  Sorted, they are the labeled
-    semigroups in lexicographic order, all built before the first yield.
+    yields the least relabeled table L0 of each semigroup class, and
+    relabeling L0 by every member of S_n gives every labeled table T of its
+    class, each kept once with the first relabeling p that made it, so
+    p(L0) = T.  Sorted, they are the labeled semigroups in lexicographic
+    order, all built before the first yield.
 
-    A relabeling p is an isomorphism from (L, R) to (p(L), p(R)), so the right
-    tables of a left table L are p^-1 applied to those of p(L).  The right
-    tables are filled (see `_right_tables`) once per class, for L0, and each
-    labeled L takes them relabeled by the inverse of the first p with
-    p(L) = L0, read off the entry the scan gave L.  The scan indexes L too,
-    so the canonical_key of a streamed dimonoid finds its left table there.
+    A relabeling p is an isomorphism from (L0, R) to (p(L0), p(R)), so the
+    right tables of T are those of L0 relabeled by p.  They are filled (see
+    `_right_tables`) once per class, for L0, and sorted for each T; any p with
+    p(L0) = T gives the same sorted tables, since Aut(L0) maps the right
+    tables of L0 onto themselves.
     """
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    lefts = [item for leader in _fill(n, _ASSOCIATIVITY, leaders=True)
-             for item in _scan_left_orbit(n, leader.entries).items()]
-    lefts.sort()
-    relabelings, _, inverse = _symmetric_group(n)
+    lefts: dict[tuple[int, ...], tuple[tuple[int, ...], Relabeling]] = {}
+    relabelings = _symmetric_group(n).relabelings
+    for leader, _ in _fill(n, _ASSOCIATIVITY, leaders=True):
+        least = leader.entries
+        for p in relabelings:
+            img, cells = p
+            lefts.setdefault(tuple(map(img, cells(least))), (least, p))
     filled: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for entries, ((least, _), first) in lefts:
+    for entries, (least, (img, cells)) in sorted(lefts.items()):
         rights = filled.get(least)
         if rights is None:
             rights = filled[least] = [r.entries for r in _right_tables(OpTable(n, least))]
-        img, cells = relabelings[inverse[first]]
         left = OpTable(n, entries)
         # built in one batch, so that each later next() costs only a pair()
-        back = sorted(tuple(map(img, cells(r))) for r in rights)
-        for right in [OpTable(n, r) for r in back]:
+        images = sorted(tuple(map(img, cells(r))) for r in rights)
+        for right in [OpTable(n, r) for r in images]:
             yield pair(left, right)
 
 
@@ -428,15 +437,17 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     one per semigroup class, so the class keys are the canonical keys of the
     dimonoids over the leaders, and no other labeled table is visited.
 
-    The same pass counts each class.  The labeled members of the class of
-    d = (L0, R) are its relabelings; their left tables are the
-    lefts[L0] = n!/|Aut(L0)| labeled tables of L0's semigroup class, with
-    Aut(L0) read off the orbit index entry that canonical_key reads anyway,
+    The same pass counts each class.  The leader fill hands out Aut(L0) with
+    each L0, so the key of (L0, R) is (L0, the least g(R) over g in
+    Aut(L0)): the relabelings that make L0 least are exactly its
+    automorphisms, and this is the key canonical_key gives.  The labeled
+    members of the class of d = (L0, R) are its relabelings; their left tables
+    are the lefts[L0] = n!/|Aut(L0)| labeled tables of L0's semigroup class,
     and those whose left table is L0 itself are the (L0, g(R)) for g in
-    Aut(L0), rights[key] of them, since the right part of the key is the
-    least g(R).  So labeled_count is lefts[L0] * rights[key], and aut_order
-    is n!/labeled_count by orbit-stabilizer; no automorphism search runs
-    (the tests reconcile both against direct counting and the search).
+    Aut(L0), rights[key] of them.  So labeled_count is lefts[L0] * rights[key],
+    and aut_order is n!/labeled_count by orbit-stabilizer; no automorphism
+    search runs (the tests reconcile both against direct counting and the
+    search), and canonical_key runs once per class, for its dual.
 
     The representatives carry an all-ok axiom report instead of rebuilding
     one for di_flags and halo: L0 was filled against associativity, each R
@@ -454,12 +465,16 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     fact = factorial(n)
     lefts: dict[tuple[int, ...], int] = {}
     rights: Counter = Counter()
-    for left in _fill(n, _ASSOCIATIVITY, leaders=True):
-        rights.update(canonical_key(pair(left, right)) for right in _right_tables(left))
-        # the orbit entry canonical_key has just read: left is its own least
-        # relabeled table, and its class has n!/|Aut(left)| labeled tables
-        (_, aut), _ = _left_orbit(n, left.entries)
-        lefts[left.entries] = fact // len(aut)
+    for left, auts in _fill(n, _ASSOCIATIVITY, leaders=True):
+        least = left.entries
+        lefts[least] = fact // (len(auts) + 1)  # with the identity
+        for right in _right_tables(left):
+            key = entries = right.entries
+            for img, cells in auts:
+                image = tuple(map(img, cells(entries)))
+                if image < key:
+                    key = image
+            rights[least, key] += 1
     keys = sorted(rights)
     index = {key: i for i, key in enumerate(keys)}
     reps = [_known_dimonoid(OpTable(n, kl), OpTable(n, kr)) for kl, kr in keys]
@@ -766,7 +781,6 @@ def _pairing_records(k_max: int) -> list[TheoremRecord]:
     lnull_failures = []
     for k in range(1, k_max + 1):
         lo_table = left_zero_sg(k)
-        rng = range(k)
         for t in enumerate_semigroups(k):
             rc = right_commutative_witness(t) is None
             if axioms_ok(t, dual_table(t)) != rc:
@@ -776,11 +790,11 @@ def _pairing_records(k_max: int) -> list[TheoremRecord]:
                 lrec_failures.append(f"n={k} table {t.rows()}: left-zero pairing != {rect}")
             e = t.entries
             left_zeros = element_roles(t).left_zeros
-            for z in rng:
-                cond = (z in left_zeros
-                        and all(e[e[x * k + y] * k + w] == e[x * k + z]
-                                for x in rng for y in rng for w in rng))
-                if axioms_ok(t, null_sg(k, z)) != cond:
+            for z in range(k):
+                null = null_sg(k, z)
+                # x*y*w = x*z is associativity with the null table in the s place
+                cond = z in left_zeros and assoc_witness(e, e, e, null.entries, k) is None
+                if axioms_ok(t, null) != cond:
                     lnull_failures.append(
                         f"n={k} table {t.rows()}, zero {z}: null pairing != {cond}")
     return [

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 from .errors import (
     EmptySubset,
     FormatError,
-    IndexOutOfRange,
     NotADimonoid,
     NotAssociative,
     NotRightCommutative,
@@ -29,6 +28,7 @@ from .errors import (
 from .tables import (
     OpTable,
     Witness,
+    _check_index,
     adjoin_zero,
     assoc_witness,
     dual_table,
@@ -295,8 +295,7 @@ def is_subdimonoid(d: DiTable, B: Iterable[int]) -> bool:
         raise EmptySubset("subdimonoid candidates must be nonempty")
     n, le, re_ = d.n, d.left.entries, d.right.entries
     for v in sub:
-        if not isinstance(v, int) or not 0 <= v < n:
-            raise IndexOutOfRange(f"element {v!r} outside 0..{n - 1}")
+        _check_index(v, n, "element")
     return all(le[a * n + b] in sub and re_[a * n + b] in sub
                for a in sub for b in sub)
 

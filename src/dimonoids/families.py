@@ -21,19 +21,13 @@ from .errors import (
     CarrierTooSmall,
     EmptyA,
     EqualDistinguished,
-    IndexOutOfRange,
     ZeroInA,
 )
-from .tables import OpTable, adjoin_zero, check_size, dual_table
+from .tables import OpTable, _check_index, adjoin_zero, check_size, dual_table
 
 # The largest carrier `build` constructs: a table holds carrier^2 entries, so
 # a larger request is refused before anything is allocated.
 BUILD_BOUND = 256
-
-
-def _check_index(v: int, n: int, what: str) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-        raise IndexOutOfRange(f"{what} {v!r} outside 0..{n - 1}")
 
 
 def null_sg(n: int, zero: int) -> OpTable:

@@ -14,9 +14,8 @@ generators, never the members.
 canonical_key is an n! scan up to CANONICAL_BOUND, done once per semigroup
 class: the scan of one left table relabels it onto every table of its class,
 and an orbit index keeps, for each of them, the least table L0 of the class
-with Aut(L0) and one relabeling onto L0.  The labeled dimonoid stream and
-classify read the same index, and the stream takes the labeled left tables
-of each class from the tables the scan of its L0 hands back.
+with Aut(L0) and one relabeling onto L0.  The index and the layout of its
+entries are private to canonical_key.
 
 Every function here also accepts a bare OpTable where a dimonoid is expected,
 treating it as the trivial dimonoid whose two operations coincide; that makes
@@ -33,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .dimonoid import DiTable, _require_dimonoid, as_ditable, pair
 from .errors import BadPartition, BoundExceeded, IndexOutOfRange, SizeMismatch
-from .tables import OpTable, _role_scan
+from .tables import OpTable, _check_index, _role_scan
 
 CANONICAL_BOUND = 5
 # largest carrier the isomorphism search (automorphisms, are_isomorphic) takes
@@ -134,8 +133,7 @@ def check_morphism(src: Union[OpTable, DiTable], dst: Union[OpTable, DiTable],
         if len(images) != src.n:
             raise SizeMismatch(f"map must be total on 0..{src.n - 1}")
     for v in images:
-        if not 0 <= v < dst.n:
-            raise IndexOutOfRange(f"image {v!r} outside 0..{dst.n - 1}")
+        _check_index(v, dst.n, "image")
 
     n, m = src.n, dst.n
     sl, sr = src.left.entries, src.right.entries
@@ -493,18 +491,18 @@ def _symmetric_group(n: int) -> _SymmetricGroup:
 # _symmetric_group(n); the relabelings s with s(T) = L0 are then exactly the
 # g . s for g in Aut(L0).  One n! scan fills the entries of a whole class.
 # The bound, counted in tables, is above the 183,732 labeled semigroups of
-# order 5, so a stream or classify at order <= 5 never clears the index.
+# order 5, so canonical keys at order <= 5 never clear the index.
 ORBIT_INDEX_BOUND = 1 << 18
 # ((L0, Aut(L0)), s): the class record, shared by the class, and s
 _OrbitEntry = tuple[tuple[tuple[int, ...], tuple[int, ...]], int]
 _orbit_index: dict[tuple[int, ...], _OrbitEntry] = {}
 
 
-def _scan_left_orbit(n: int, left: tuple[int, ...]) -> dict[tuple[int, ...], _OrbitEntry]:
+def _scan_left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
     """Relabel `left` by every member of S_n and index every image it takes,
-    clearing the index first when the images would not fit under
-    ORBIT_INDEX_BOUND.  Returns the images with their entries, `left` first:
-    the labeled tables of its semigroup class, each once."""
+    the labeled tables of its semigroup class, clearing the index first when
+    the images would not fit under ORBIT_INDEX_BOUND.  Returns the entry of
+    `left`."""
     relabelings, after, inverse = _symmetric_group(n)
     parts = [tuple(map(img, cells(left))) for img, cells in relabelings]
     least = min(parts)
@@ -521,7 +519,7 @@ def _scan_left_orbit(n: int, left: tuple[int, ...]) -> dict[tuple[int, ...], _Or
     if len(_orbit_index) + len(orbit) > ORBIT_INDEX_BOUND:
         _orbit_index.clear()
     _orbit_index.update(islice(orbit.items(), ORBIT_INDEX_BOUND))
-    return orbit
+    return orbit[left]
 
 
 def _left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
@@ -530,7 +528,7 @@ def _left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
     index of the first relabeling s, in lexicographic order, with
     s(left) = L0.  Read from the orbit index, scanning on a miss."""
     entry = _orbit_index.get(left)
-    return _scan_left_orbit(n, left)[left] if entry is None else entry
+    return _scan_left_orbit(n, left) if entry is None else entry
 
 
 def canonical_key(d: Union[OpTable, DiTable]) -> tuple[tuple[int, ...], tuple[int, ...]]:

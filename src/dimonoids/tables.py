@@ -57,6 +57,13 @@ def check_size(n: int) -> None:
         raise EmptyCarrier("carrier size must be at least 1")
 
 
+def _check_index(v: int, n: int, what: str) -> None:
+    """Reject an element of 0..n-1 that is out of range or not an int (a bool
+    is not one)."""
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+        raise IndexOutOfRange(f"{what} {v!r} outside 0..{n - 1}")
+
+
 def make_table(n: int, entries: Sequence[int]) -> OpTable:
     """Validate and build an OpTable from a row-major entry sequence.
 
@@ -68,8 +75,7 @@ def make_table(n: int, entries: Sequence[int]) -> OpTable:
     if len(ent) != n * n:
         raise SizeMismatch(f"need {n * n} entries for n={n}, got {len(ent)}")
     for v in ent:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-            raise IndexOutOfRange(f"entry {v!r} outside 0..{n - 1}")
+        _check_index(v, n, "entry")
     return OpTable(n, ent)
 
 
@@ -122,15 +128,8 @@ def rectangular_witness(t: OpTable) -> Optional[Witness]:
     """None when x*y*z = x*z (left-to-right bracketing) for every triple,
     else the first violating (x, y, z) in scan order x, then y, then z."""
     n, e = t.n, t.entries
-    rng = range(n)
-    for x in rng:
-        xn = x * n
-        for y in rng:
-            xyn = e[xn + y] * n
-            for z in rng:
-                if e[xyn + z] != e[xn + z]:
-                    return (x, y, z)
-    return None
+    # y * z = z is the right-zero table in the s place of associativity
+    return assoc_witness(e, e, e, tuple(range(n)) * n, n)
 
 
 class RoleReport(NamedTuple):

@@ -9,6 +9,7 @@ import pytest
 
 import dimonoids.catalog as catalog
 import dimonoids.dimonoid as dimonoid
+import dimonoids.morphisms as morphisms
 from dimonoids import (
     BoundExceeded,
     CatalogEntry,
@@ -182,14 +183,22 @@ def test_order_four_yield_order_is_pinned(order_four):
 
 def test_order_four_stream_reads_no_semigroup_stream(monkeypatch):
     # the stream expands the lex leaders over their orbits instead of
-    # enumerating the labeled semigroups; its yield order is the pinned one
+    # enumerating the labeled semigroups, and relabels them itself instead of
+    # reading the orbit index; its yield order is the pinned one
     def refuse(*args, **kwargs):
         raise AssertionError("the stream enumerated the labeled semigroups")
 
+    def refuse_scan(*args, **kwargs):
+        raise AssertionError("the stream scanned the orbit index")
+
     monkeypatch.setattr(catalog, "enumerate_semigroups", refuse)
+    monkeypatch.setattr(morphisms, "_scan_left_orbit", refuse_scan)
+    index = {}
+    monkeypatch.setattr(morphisms, "_orbit_index", index)
     stream = b"".join(bytes(d.left.entries + d.right.entries)
                       for d in enumerate_dimonoids_backtracking(4, max_n=4))
     assert hashlib.sha256(stream).hexdigest() == ORDER_FOUR_STREAM_SHA256
+    assert index == {}
 
 
 def test_order_four_stream_equals_the_direct_fill(order_four):
@@ -268,20 +277,22 @@ def test_semigroup_counts_match_published_sequences():
 
 
 def leaders(n):
-    """The lex leaders among the associative tables of order n."""
-    return [t.entries for t in _fill(n, [(None, None, None, None)], leaders=True)]
+    """The lex leaders among the associative tables of order n, each with the
+    automorphisms the fill carries for it."""
+    return [(t.entries, auts) for t, auts in _fill(n, [(None, None, None, None)], leaders=True)]
 
 
 def test_leaders_are_the_least_left_tables_of_the_stream():
     for n, count in ((1, 1), (2, 5), (3, 24), (4, 188)):
-        lead = leaders(n)
+        lead = [t for t, _ in leaders(n)]
         assert lead == sorted({canonical_key(t)[0] for t in enumerate_semigroups(n)})
         assert len(lead) == count
 
 
 def test_leaders_match_published_semigroup_counts():
     # by full scans of S_n, no orbit index: each leader is its own least
-    # relabeling, the orbit sizes n!/|Aut L| add up to the labeled semigroups
+    # relabeling and carries exactly its automorphisms other than the
+    # identity, the orbit sizes n!/|Aut L| add up to the labeled semigroups
     # (OEIS A023814), and merging each leader with the least relabeling of its
     # transpose counts classes up to isomorphism or anti-isomorphism (A001423)
     labeled, iso_or_anti = [], []
@@ -289,14 +300,17 @@ def test_leaders_match_published_semigroup_counts():
         lead = leaders(n)
         relabelings = _symmetric_group(n).relabelings
         total, merged = 0, set()
-        for t in lead:
+        for t, auts in lead:
             images = [tuple(map(img, gather(t))) for img, gather in relabelings]
             assert min(images) == t
+            fixing = [p for p, image in zip(relabelings, images) if image == t]
+            assert [relabelings[0], *auts] == fixing
             total += factorial(n) // images.count(t)
             u = dual_table(OpTable(n, t)).entries
             merged.add(min(t, *(tuple(map(img, gather(u))) for img, gather in relabelings)))
         labeled.append(total)
         iso_or_anti.append(len(merged))
+    lead = [t for t, _ in lead]
     assert len(lead) == 1915 and lead == sorted(set(lead))
     assert labeled == [1, 8, 113, 3492, 183732]
     assert iso_or_anti == [1, 4, 18, 126, 1160]
@@ -398,6 +412,22 @@ def test_catalog_bytes_are_pinned():
     for (n, quotient), digest in CATALOG_DIGESTS.items():
         text = dumps_catalog(classify(n, quotient, max_n=4))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
+
+
+def test_classify_calls_canonical_key_once_per_class(monkeypatch):
+    # the leaders carry their automorphisms, so classify keys each dimonoid
+    # itself and calls canonical_key once per class, for its dual
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return canonical_key(d)
+
+    monkeypatch.setattr(catalog, "canonical_key", counted)
+    for n, classes in ((2, 8), (3, 52), (4, 734)):
+        calls.clear()
+        assert len(classify(n, max_n=4)) == classes
+        assert len(calls) == classes
 
 
 def test_classify_runs_no_automorphism_search(monkeypatch):

@@ -274,6 +274,10 @@ def test_subdimonoid_examples():
         is_subdimonoid(d, set())
     with pytest.raises(IndexOutOfRange):
         is_subdimonoid(d, {0, 7})
+    # a bool is not taken as the element 0 or 1
+    for elements in ([True], [0, True], [1.0]):
+        with pytest.raises(IndexOutOfRange):
+            is_subdimonoid(d, elements)
 
 
 def test_di_zero_examples():

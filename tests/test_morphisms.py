@@ -117,6 +117,18 @@ def test_check_morphism_size_rules():
         check_morphism(small, small, [0, 5])
 
 
+def test_check_morphism_rejects_non_int_images():
+    # a float or string image would otherwise fail the table lookup with a
+    # bare TypeError, and a bool would pass as 0 or 1
+    d = pair(left_zero_sg(3), left_zero_sg(3))
+    for images in ([0.0, 1, 2], ["a", 1, 2], [True, False, 2]):
+        with pytest.raises(IndexOutOfRange):
+            check_morphism(d, d, images)
+        with pytest.raises(IndexOutOfRange):
+            check_morphism(d, d, images.__getitem__)
+    assert check_morphism(d, d, [1, 0, 2]).isomorphism
+
+
 def test_automorphism_orders_of_named_structures():
     assert automorphisms(lo_ro_plus_zero(3)).order == 6
     assert automorphisms(lo_arrow_pair(4, {0, 1}, 0)).order == 2
