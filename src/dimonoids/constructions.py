@@ -3,6 +3,14 @@ bundled with the halo, automorphism-group shape, and predicate flags they are
 supposed to have, so the verification suite and the acceptance tests can sweep
 them uniformly.
 
+Each construction is one row of a private table: its public builder, the
+parameter names it takes after n, its valid parameter choices at n, and one
+function from (n, D, *values) to the five expected fields.  `cases` and
+`CONSTRUCTION_NAMES` read that table.  The choices reuse the parameter
+generators of `families` (distinct pairs, anchored subsets, all subsets), so
+a construction and the families it is built from enumerate their parameters
+alike.
+
 Expected fields set to None are not asserted for that parameter choice (the
 claim's hypotheses exclude it); the sweep still computes and records the
 actual value.
@@ -10,10 +18,15 @@ actual value.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .dimonoid import DiTable, adjoin_zero_di, from_right_commutative, pair
+from .errors import SizeMismatch
 from .families import (
+    _all_subsets,
+    _anchored_subsets,
+    _distinct_pairs,
+    _no_params,
     left_zero_sg,
     lo_arrow,
     lo_tilde0,
@@ -24,7 +37,7 @@ from .families import (
     subsets,
 )
 from .morphisms import SymmetricProductSpec
-from .tables import dual_table
+from .tables import check_size, dual_table
 
 
 def lo_arrow_pair(n: int, A, a: int) -> DiTable:
@@ -93,149 +106,92 @@ class ConstructionCase(NamedTuple):
         return f"{self.name}({inner})"
 
 
-CONSTRUCTION_NAMES = (
-    "lo_arrow*ro_arrow",
-    "lo_tilde0*ro_tilde0",
-    "lob*rob",
-    "lo*ro+0",
-    "lob*o_fixed",
-    "lo_tilde0*o_fixed",
-    "lo*lo_arrow",
-    "lo*ro_arrow",
-    "lo_arrow*o",
-)
+class _Construction(NamedTuple):
+    build: Callable[..., DiTable]  # the public builder, called with n first
+    params: tuple[str, ...]  # its parameters after n, in `params` key order
+    choices: Callable[[int], Iterable[tuple]]  # every valid value tuple at n
+    # (n, D, *values) -> halo, aut_spec, abelian, commutative, rectangular
+    expect: Callable[..., tuple]
 
 
-def _proper_nonempty_with_anchor(n: int) -> Iterator[tuple[frozenset[int], int]]:
-    for A in subsets(range(n)):
-        if A and len(A) < n:
-            for a in sorted(A):
-                yield A, a
+def _anchored_spec(D: frozenset[int], A: frozenset[int], a: int) -> SymmetricProductSpec:
+    return SymmetricProductSpec.of({a}, [A - {a}, D - A])
+
+
+def _lo_with_arrow(n: int, D: frozenset[int], A: frozenset[int], a: int,
+                   nonab: bool) -> tuple:
+    # the halo/automorphism statements assume A proper; the dimonoid itself
+    # only needs A nonempty
+    proper = len(A) < n
+    return (frozenset() if proper else None, _anchored_spec(D, A, a) if proper else None,
+            False if nonab else None, False if nonab else None, True)
+
+
+_ROWS = {
+    # hypotheses: A nonempty proper, anchor in A
+    "lo_arrow*ro_arrow": _Construction(
+        lo_arrow_pair, ("A", "a"),
+        lambda n: ((A, a) for A, a in _anchored_subsets(n) if len(A) < n),
+        lambda n, D, A, a: (frozenset(), _anchored_spec(D, A, a), True, len(A) == 1, True)),
+    "lo_tilde0*ro_tilde0": _Construction(
+        lo_tilde0_pair, ("A",), _all_subsets,
+        lambda n, D, A: (A, SymmetricProductSpec.of({n}, [A, D - A]), True,
+                         not A or n == 1, None)),
+    "lob*rob": _Construction(
+        lob_pair, ("a", "c"), _distinct_pairs,
+        lambda n, D, a, c: (frozenset({a}), SymmetricProductSpec.of({a, c}, [D - {a, c}]),
+                            True, n == 2, None)),
+    "lo*ro+0": _Construction(
+        lo_ro_plus_zero, (), _no_params,
+        lambda n, D: (D, SymmetricProductSpec.of({n}, [D]), True, n == 1, None)),
+    # nonabelian noncommutative only claimed for carriers above 2
+    "lob*o_fixed": _Construction(
+        lob_with_fixed_null, ("a", "c"), lambda n: _distinct_pairs(n) if n > 2 else (),
+        lambda n, D, a, c: (frozenset(), SymmetricProductSpec.of({a, c}, [D - {a, c}]),
+                            False, False, None)),
+    "lo_tilde0*o_fixed": _Construction(
+        lo_tilde0_with_fixed_null, ("a",), lambda n: ((a,) for a in range(n)) if n > 1 else (),
+        lambda n, D, a: (frozenset(), SymmetricProductSpec.of({a, n}, [D - {a}]),
+                         False, False, None)),
+    # nonabelian/noncommutative is claimed for any nonempty A on the left-left
+    # form once there is more than one element, but only for proper A on the
+    # left-right form (A = D gives the abelian left-zero/right-zero pair)
+    "lo*lo_arrow": _Construction(
+        lo_with_lo_arrow, ("A", "a"), _anchored_subsets,
+        lambda n, D, A, a: _lo_with_arrow(n, D, A, a, n > 1)),
+    "lo*ro_arrow": _Construction(
+        lo_with_ro_arrow, ("A", "a"), _anchored_subsets,
+        lambda n, D, A, a: _lo_with_arrow(n, D, A, a, len(A) < n)),
+    # the empty-halo claim assumes more than two elements; smaller carriers
+    # are computed and recorded, not asserted
+    "lo_arrow*o": _Construction(
+        lo_arrow_with_null, ("A", "zero"),
+        lambda n: ((A, z) for z in range(n) for A in subsets(range(n)) if z in A),
+        lambda n, D, A, z: (frozenset() if n > 2 else None, _anchored_spec(D, A, z),
+                            len(A) == 1, len(A) == 1, True)),
+}
+CONSTRUCTION_NAMES = tuple(_ROWS)
 
 
 def cases(name: str, n: int) -> Iterator[ConstructionCase]:
     """All parameter choices of one construction at base-set size n (the
     carrier is n+1 for the zero-extended constructions)."""
-    carrier = frozenset(range(n))
-    if name == "lo_arrow*ro_arrow":
-        # hypotheses: A nonempty proper, anchor in A
-        if n < 2:
-            return
-        for A, a in _proper_nonempty_with_anchor(n):
-            yield ConstructionCase(
-                name, {"n": n, "A": A, "a": a}, lo_arrow_pair(n, A, a),
-                expected_halo=frozenset(),
-                aut_spec=SymmetricProductSpec.of({a}, [A - {a}, carrier - A]),
-                expected_abelian=True,
-                expected_commutative=(len(A) == 1),
-                expected_rectangular=True,
-            )
-    elif name == "lo_tilde0*ro_tilde0":
-        for A in subsets(range(n)):
-            yield ConstructionCase(
-                name, {"n": n, "A": A}, lo_tilde0_pair(n, A),
-                expected_halo=A,
-                aut_spec=SymmetricProductSpec.of({n}, [A, carrier - A]),
-                expected_abelian=True,
-                expected_commutative=(not A or n == 1),
-                expected_rectangular=None,
-            )
-    elif name == "lob*rob":
-        if n < 2:
-            return
-        for a in range(n):
-            for c in range(n):
-                if a != c:
-                    yield ConstructionCase(
-                        name, {"n": n, "a": a, "c": c}, lob_pair(n, a, c),
-                        expected_halo=frozenset({a}),
-                        aut_spec=SymmetricProductSpec.of({a, c}, [carrier - {a, c}]),
-                        expected_abelian=True,
-                        expected_commutative=(n == 2),
-                        expected_rectangular=None,
-                    )
-    elif name == "lo*ro+0":
-        yield ConstructionCase(
-            name, {"n": n}, lo_ro_plus_zero(n),
-            expected_halo=carrier,
-            aut_spec=SymmetricProductSpec.of({n}, [carrier]),
-            expected_abelian=True,
-            expected_commutative=(n == 1),
-            expected_rectangular=None,
-        )
-    elif name == "lob*o_fixed":
-        # nonabelian noncommutative only claimed for carriers above 2
-        if n < 3:
-            return
-        for a in range(n):
-            for c in range(n):
-                if a != c:
-                    yield ConstructionCase(
-                        name, {"n": n, "a": a, "c": c}, lob_with_fixed_null(n, a, c),
-                        expected_halo=frozenset(),
-                        aut_spec=SymmetricProductSpec.of({a, c}, [carrier - {a, c}]),
-                        expected_abelian=False,
-                        expected_commutative=False,
-                        expected_rectangular=None,
-                    )
-    elif name == "lo_tilde0*o_fixed":
-        if n < 2:
-            return
-        for a in range(n):
-            yield ConstructionCase(
-                name, {"n": n, "a": a}, lo_tilde0_with_fixed_null(n, a),
-                expected_halo=frozenset(),
-                aut_spec=SymmetricProductSpec.of({a, n}, [carrier - {a}]),
-                expected_abelian=False,
-                expected_commutative=False,
-                expected_rectangular=None,
-            )
-    elif name in ("lo*lo_arrow", "lo*ro_arrow"):
-        builder = lo_with_lo_arrow if name == "lo*lo_arrow" else lo_with_ro_arrow
-        for A in subsets(range(n)):
-            if not A:
-                continue
-            proper = len(A) < n
-            # nonabelian/noncommutative is claimed for any nonempty A on the
-            # left-left form once there is more than one element, but only for
-            # proper A on the left-right form (A = D gives the abelian
-            # left-zero/right-zero pair)
-            nonab = proper or (name == "lo*lo_arrow" and n > 1)
-            for a in sorted(A):
-                # the halo/automorphism statements assume A proper; the
-                # dimonoid itself only needs A nonempty
-                yield ConstructionCase(
-                    name, {"n": n, "A": A, "a": a}, builder(n, A, a),
-                    expected_halo=frozenset() if proper else None,
-                    aut_spec=SymmetricProductSpec.of({a}, [A - {a}, carrier - A])
-                    if proper else None,
-                    expected_abelian=False if nonab else None,
-                    expected_commutative=False if nonab else None,
-                    expected_rectangular=True,
-                )
-    elif name == "lo_arrow*o":
-        for zero in range(n):
-            for A in subsets(range(n)):
-                if zero not in A:
-                    continue
-                yield ConstructionCase(
-                    name, {"n": n, "A": A, "zero": zero},
-                    lo_arrow_with_null(n, A, zero),
-                    # the empty-halo claim assumes more than two elements;
-                    # smaller carriers are computed and recorded, not asserted
-                    expected_halo=frozenset() if n > 2 else None,
-                    aut_spec=SymmetricProductSpec.of({zero}, [A - {zero}, carrier - A]),
-                    expected_abelian=(len(A) == 1),
-                    expected_commutative=(len(A) == 1),
-                    expected_rectangular=True,
-                )
-    else:
+    check_size(n)
+    row = _ROWS.get(name)
+    if row is None:
         raise ValueError(f"unknown construction {name!r}")
+    D = frozenset(range(n))
+    keys = ("n", *row.params)
+    for values in row.choices(n):
+        yield ConstructionCase(name, dict(zip(keys, (n, *values))),
+                               row.build(n, *values), *row.expect(n, D, *values))
 
 
 def all_cases(n_max: int, names: tuple[str, ...] = CONSTRUCTION_NAMES
               ) -> Iterator[ConstructionCase]:
     """Every case of every requested construction for 1 <= n <= n_max."""
+    if type(n_max) is not int:
+        raise SizeMismatch(f"n_max must be an int, got {n_max!r}")
     for name in names:
         for n in range(1, n_max + 1):
             yield from cases(name, n)
