@@ -4,17 +4,18 @@ persistence, and the consolidated structural-theorem verification suite.
 
 Both enumerators run on one backtracking engine, `_fill`: semigroups against
 associativity, and the right tables of a left table against the axiom
-bindings of `dimonoid.AXIOM_BINDINGS`.  With its lex-leader prune, `_fill`
-yields exactly the least relabeled left table of each semigroup class
-(orderly generation), together with its automorphisms: the relabelings
-the prune found still tied with it.  The labeled dimonoid stream expands each
-leader into the labeled left tables of its class by relabeling it by every
-member of S_n, fills the right tables once per class, for the leader, and
-relabels them along with it.  `classify` never builds the labeled stream: it
-keys each dimonoid over a leader by the least image of its right table under
-the leader's automorphisms, and reads the labeled count and automorphism
-order of each class off the leader's automorphism group and how many right
-tables reach its key.  Enumeration is
+bindings of `dimonoid.AXIOM_BINDINGS`.  Given a group of relabelings that
+keeps the bindings, its lex-leader prune yields exactly the least table of
+each orbit (orderly generation), together with its stabilizer: the
+relabelings the prune found still tied with it.  Under S_n and associativity
+these are the least relabeled left table L0 of each semigroup class and its
+automorphisms.  The labeled dimonoid stream expands each leader into the
+labeled left tables of its class by relabeling it by every member of S_n,
+fills the right tables once per class, for the leader, and relabels them
+along with it.  `classify` never builds the labeled stream: it fills the
+right tables of each leader under the prune with Aut(L0), so each one is the
+right table of a class key, and reads the class's automorphism order and
+labeled count off the ties carried to it.  Enumeration is
 deterministic: tables are emitted in lexicographic order of their entry
 tuples, and catalogs are sorted by canonical form, so a catalog's bytes
 depend only on its order and quotient.
@@ -23,10 +24,9 @@ depend only on its order and quotient.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from itertools import product
 from math import factorial
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .constructions import CONSTRUCTION_NAMES, ConstructionCase, all_cases
 from .dimonoid import (
@@ -84,13 +84,14 @@ class _Conflict(Exception):
     """An instance of a binding fails on the cells set so far."""
 
 
-def _fill(n: int, bindings: list[tuple], leaders: bool = False
+def _fill(n: int, bindings: list[tuple], group: Optional[Sequence[Relabeling]] = None
           ) -> Iterator[OpTable | tuple[OpTable, list[Relabeling]]]:
     """Every table t on 0..n-1 with (a q b) p c = a r (b s c) for all a, b, c
-    and every binding (p, q, r, s), in lexicographic entry order; with
-    `leaders`, only the lex leaders among them, the tables no relabeling
-    makes lexicographically smaller, each as (t, its automorphisms other
-    than the identity, as relabelings of `morphisms._symmetric_group`).
+    and every binding (p, q, r, s), in lexicographic entry order; with a
+    `group`, the relabelings other than the identity of a group that keeps
+    every binding, only the lex leaders among them, the tables no member of
+    the group makes lexicographically smaller, one per orbit, each as (t, the
+    members of `group` that fix t).
 
     Each place of a binding holds a fixed row-major entry tuple, or None for t
     itself.  A binding without a None place reads only fixed tables and is
@@ -104,17 +105,19 @@ def _fill(n: int, bindings: list[tuple], leaders: bool = False
     Every instance is tested when its last cell is set, chosen or forced.
 
     The leader prune (lex-leader symmetry breaking) runs after each cell is
-    set and its forced cells propagated.  For each relabeling p other than
-    the identity it walks the cells in row-major order while both p(t) and t
-    are set there: the first cell where they differ decides, and p(t) smaller
-    there cuts the branch, since every completion keeps those cells.  The
-    walk is incremental: each node keeps the relabelings still tied with the
-    cell where each walk stopped, and its children resume from there; one
-    found greater is dropped for the whole subtree.  On a full table the walk
-    is the whole comparison, so exactly the leaders remain, and the
-    relabelings still tied with a leader are its automorphisms.  It is sound only
-    for bindings that every relabeling preserves, those without a fixed
-    table, such as associativity; the labeled route descends without it.
+    set and its forced cells propagated.  For each relabeling p in `group` it
+    walks the cells in row-major order while both p(t) and t are set there:
+    the first cell where they differ decides, and p(t) smaller there cuts the
+    branch, since every completion keeps those cells.  The walk is
+    incremental: each node keeps the relabelings still tied with the cell
+    where each walk stopped, and its children resume from there; one found
+    greater is dropped for the whole subtree.  On a full table the walk is
+    the whole comparison, so exactly the leaders remain, and the relabelings
+    still tied with a leader are its stabilizer in the group, less the
+    identity.  It is sound only for a group that maps the tables filled onto
+    themselves: S_n for bindings without a fixed table, such as
+    associativity, and for the right tables of a left table L0, the
+    automorphisms of L0, which fix the one fixed table of the axiom bindings.
     """
     size = n * n
     rng = range(n)
@@ -229,8 +232,8 @@ def _fill(n: int, bindings: list[tuple], leaders: bool = False
             k += 1
         if k == size:
             table = OpTable(n, tuple(e))  # type: ignore[arg-type]
-            # a full table is tied only with its automorphisms
-            yield (table, [tie[3] for tie in ties[-1]]) if leaders else table
+            # a full table is tied only with the members of the group fixing it
+            yield (table, [tie[3] for tie in ties[-1]]) if group is not None else table
             return
         mark = len(trail)
         for v in domain[k]:
@@ -243,13 +246,12 @@ def _fill(n: int, bindings: list[tuple], leaders: bool = False
                 yield from descend(k + 1)
             undo(mark)
 
-    if leaders:
-        # the relabelings p other than the identity still tied with t, one
-        # list per depth: each as (its images, for each cell of p(t) the cell
-        # of t it reads, the first cell its walk has not passed, p itself)
+    if group is not None:
+        # the relabelings p of the group still tied with t, one list per
+        # depth: each as (its images, for each cell of p(t) the cell of t it
+        # reads, the first cell its walk has not passed, p itself)
         cell_ids = tuple(range(size))
-        ties = [[(tuple(map(p[0], rng)), p[1](cell_ids), 0, p)
-                 for p in _symmetric_group(n).relabelings[1:]]]
+        ties = [[(tuple(map(p[0], rng)), p[1](cell_ids), 0, p) for p in group]]
 
         def descend(k: int) -> Iterator[OpTable]:
             tied = []
@@ -326,18 +328,21 @@ def enumerate_dimonoids(n: int, max_n: int = DIMONOID_ENUM_BOUND) -> Iterator[Di
                 yield pair(left, right)
 
 
-def _right_tables(left: OpTable) -> Iterator[OpTable]:
+def _right_tables(left: OpTable, group: Optional[Sequence[Relabeling]] = None
+                  ) -> Iterator[OpTable | tuple[OpTable, list[Relabeling]]]:
     """Every right table that makes a dimonoid with the associative table
     `left`, in lexicographic entry order: `_fill` with the five axiom
     bindings of AXIOM_BINDINGS, the left operation read from `left` and the
-    right one filled.
+    right one filled.  A `group` of automorphisms of `left` goes to `_fill`'s
+    prune.
 
     Left associativity reads no right cell, so it is not tested.  The first
     axiom (x <| y) <| z = x <| (y |> z) reads one right cell per instance, so
     it limits up front the values each cell may take.
     """
     t = {"l": left.entries, "r": None}
-    return _fill(left.n, [(t[p], t[q], t[r], t[s]) for p, q, r, s in AXIOM_BINDINGS])
+    return _fill(left.n, [(t[p], t[q], t[r], t[s]) for p, q, r, s in AXIOM_BINDINGS],
+                 group)
 
 
 def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
@@ -364,7 +369,7 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
     lefts: dict[tuple[int, ...], tuple[tuple[int, ...], Relabeling]] = {}
     relabelings = _symmetric_group(n).relabelings
-    for leader, _ in _fill(n, _ASSOCIATIVITY, leaders=True):
+    for leader, _ in _fill(n, _ASSOCIATIVITY, relabelings[1:]):
         least = leader.entries
         for p in relabelings:
             img, cells = p
@@ -437,17 +442,16 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     one per semigroup class, so the class keys are the canonical keys of the
     dimonoids over the leaders, and no other labeled table is visited.
 
-    The same pass counts each class.  The leader fill hands out Aut(L0) with
-    each L0, so the key of (L0, R) is (L0, the least g(R) over g in
-    Aut(L0)): the relabelings that make L0 least are exactly its
-    automorphisms, and this is the key canonical_key gives.  The labeled
-    members of the class of d = (L0, R) are its relabelings; their left tables
-    are the lefts[L0] = n!/|Aut(L0)| labeled tables of L0's semigroup class,
-    and those whose left table is L0 itself are the (L0, g(R)) for g in
-    Aut(L0), rights[key] of them.  So labeled_count is lefts[L0] * rights[key],
-    and aut_order is n!/labeled_count by orbit-stabilizer; no automorphism
-    search runs (the tests reconcile both against direct counting and the
-    search), and canonical_key runs once per class, for its dual.
+    The same pass keys and counts each class.  The leader fill hands out
+    Aut(L0) with each L0, and the right fill of L0 prunes under it, so each
+    right table R it yields is the least of its Aut(L0)-orbit: the
+    relabelings that make L0 least are exactly its automorphisms, so (L0, R)
+    is the key canonical_key gives.  The ties the prune carries to R are
+    Aut(L0, R) less the identity, which gives aut_order, and labeled_count is
+    n!/aut_order by orbit-stabilizer; no automorphism search runs (the tests
+    reconcile both against direct counting and the search), and
+    canonical_key runs once per class, for its dual.  The keys arrive in lex
+    order, leaders first, then each leader's right tables.
 
     The representatives carry an all-ok axiom report instead of rebuilding
     one for di_flags and halo: L0 was filled against associativity, each R
@@ -463,27 +467,18 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     if n > max_n:
         raise BoundExceeded(f"classification limited to n <= {max_n}")
     fact = factorial(n)
-    lefts: dict[tuple[int, ...], int] = {}
-    rights: Counter = Counter()
-    for left, auts in _fill(n, _ASSOCIATIVITY, leaders=True):
-        least = left.entries
-        lefts[least] = fact // (len(auts) + 1)  # with the identity
-        for right in _right_tables(left):
-            key = entries = right.entries
-            for img, cells in auts:
-                image = tuple(map(img, cells(entries)))
-                if image < key:
-                    key = image
-            rights[least, key] += 1
-    keys = sorted(rights)
-    index = {key: i for i, key in enumerate(keys)}
-    reps = [_known_dimonoid(OpTable(n, kl), OpTable(n, kr)) for kl, kr in keys]
+    found = []  # (L0, R, |Aut(L0, R)|, whether L0 is rectangular), in key order
+    for left, auts in _fill(n, _ASSOCIATIVITY, _symmetric_group(n).relabelings[1:]):
+        rectangular = rectangular_witness(left) is None
+        for right, stab in _right_tables(left, auts):
+            found.append((left, right, len(stab) + 1, rectangular))
+    index = {(left.entries, right.entries): i for i, (left, right, _, _) in enumerate(found)}
     entries = []
-    for d, key in zip(reps, keys):
-        count = lefts[key[0]] * rights[key]
+    for left, right, order, rectangular in found:
+        d = _known_dimonoid(left, right)
         dual = dual_dimonoid(d)  # built once, for the dual class and the flags
-        entries.append(CatalogEntry(d, _di_flags(d, dual), len(halo(d)), fact // count,
-                                    count, index[canonical_key(dual)]))
+        entries.append(CatalogEntry(d, _di_flags(d, dual, rectangular), len(halo(d)),
+                                    order, fact // order, index[canonical_key(dual)]))
     if quotient == "iso":
         return entries
     merged: list[CatalogEntry] = []

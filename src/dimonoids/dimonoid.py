@@ -240,12 +240,12 @@ def di_flags(d: DiTable) -> DiFlags:
     the test suite asserts that they do.
     """
     _require_dimonoid(d)
-    return _di_flags(d, dual_dimonoid(d))
+    return _di_flags(d, dual_dimonoid(d), rectangular_witness(d.left) is None)
 
 
-def _di_flags(d: DiTable, dual: DiTable) -> DiFlags:
-    """di_flags of the dimonoid d, given its dual, for callers that have
-    built the dual already."""
+def _di_flags(d: DiTable, dual: DiTable, left_rectangular: bool) -> DiFlags:
+    """di_flags of the dimonoid d, given its dual and whether its left table
+    is rectangular, for callers that know them already."""
     n, le, re_ = d.n, d.left.entries, d.right.entries
     rng = range(n)
     abelian = all(le[x * n + y] == re_[y * n + x] for x in rng for y in rng)
@@ -255,8 +255,7 @@ def _di_flags(d: DiTable, dual: DiTable) -> DiFlags:
         commutative=dual.left == d.right and dual.right == d.left,
         abelian=abelian,
         self_dual=dual.left == d.left and dual.right == d.right,
-        rectangular=(rectangular_witness(d.left) is None
-                     and rectangular_witness(d.right) is None),
+        rectangular=left_rectangular and rectangular_witness(d.right) is None,
     )
 
 

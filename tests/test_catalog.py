@@ -41,6 +41,7 @@ from dimonoids import (
 from dimonoids.catalog import _fill, _right_tables, check_construction_case
 from dimonoids.dimonoid import AXIOM_BINDINGS
 from dimonoids.morphisms import _symmetric_group
+from dimonoids.tables import rectangular_witness
 
 # counts produced by this package's own enumerators and cross-checked by the
 # brute-force route below; the order <= 3 numbers are frozen here on purpose
@@ -93,9 +94,21 @@ def test_enumeration_bounds():
 
 def test_max_n_reaches_the_semigroup_stream(monkeypatch):
     # a caller's max_n bounds the lex-leader fill under the dimonoid stream,
-    # so order 5 needs no other setting
-    d = next(enumerate_dimonoids_backtracking(5, max_n=5))
-    assert d.n == 5 and d.is_dimonoid
+    # so order 5 needs no other setting: the stream reaches the fill at n = 5
+    class Reached(Exception):
+        pass
+
+    reached = []
+
+    def stop(n, *args):
+        reached.append(n)
+        raise Reached
+
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "_fill", stop)
+        with pytest.raises(Reached):
+            next(enumerate_dimonoids_backtracking(5, max_n=5))
+    assert reached == [5]
     bounds = []
     stream = catalog.enumerate_semigroups
 
@@ -279,7 +292,8 @@ def test_semigroup_counts_match_published_sequences():
 def leaders(n):
     """The lex leaders among the associative tables of order n, each with the
     automorphisms the fill carries for it."""
-    return [(t.entries, auts) for t, auts in _fill(n, [(None, None, None, None)], leaders=True)]
+    fill = _fill(n, [(None, None, None, None)], _symmetric_group(n).relabelings[1:])
+    return [(t.entries, auts) for t, auts in fill]
 
 
 def test_leaders_are_the_least_left_tables_of_the_stream():
@@ -314,6 +328,48 @@ def test_leaders_match_published_semigroup_counts():
     assert len(lead) == 1915 and lead == sorted(set(lead))
     assert labeled == [1, 8, 113, 3492, 183732]
     assert iso_or_anti == [1, 4, 18, 126, 1160]
+
+
+def test_orderly_right_fill_yields_the_least_of_each_automorphism_orbit():
+    # by the minimization classify used to run: for each leader L0, the pruned
+    # right fill yields exactly the least image under Aut(L0) of every right
+    # table the unpruned fill yields, each with the members of Aut(L0) that
+    # fix it; the orbit sizes add up to the labeled dimonoids, and the class
+    # keys (L0, R) arrive sorted, leaders first
+    def image(p, r):
+        return tuple(map(p[0], p[1](r)))
+
+    for n, labeled in ((1, 1), (2, 13), (3, 267), (4, 15277)):
+        identity = _symmetric_group(n).relabelings[0]
+        total, keys = 0, []
+        for t, auts in leaders(n):
+            left = OpTable(n, t)
+            group = [identity, *auts]
+            least = {min(image(p, r.entries) for p in group) for r in _right_tables(left)}
+            pruned = [(r.entries, stab) for r, stab in _right_tables(left, auts)]
+            assert [r for r, _ in pruned] == sorted(least)
+            for r, stab in pruned:
+                assert [identity, *stab] == [p for p in group if image(p, r) == r]
+                total += factorial(n) // (len(stab) + 1)
+                keys.append((t, r))
+        assert total == labeled
+        assert keys == sorted(keys)
+
+
+def test_classify_reads_each_leaders_rectangularity_once(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return rectangular_witness(t)
+
+    monkeypatch.setattr(catalog, "rectangular_witness", counted)
+    for n, lead, digest in ((3, 24, CATALOG_DIGESTS[3, "iso"]),
+                            (4, 188, CATALOG_DIGESTS[4, "iso"])):
+        calls.clear()
+        text = dumps_catalog(classify(n, max_n=4))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert len(calls) == len(set(calls)) == lead
 
 
 def test_every_commutative_trivial_pair_is_enumerated(semigroups):
