@@ -251,7 +251,7 @@ def _fill(n: int, bindings: list[tuple], group: Optional[Sequence[Relabeling]] =
         # depth: each as (its images, for each cell of p(t) the cell of t it
         # reads, the first cell its walk has not passed, p itself)
         cell_ids = tuple(range(size))
-        ties = [[(tuple(map(p[0], rng)), p[1](cell_ids), 0, p) for p in group]]
+        ties = [[(p[0], p[1](cell_ids), 0, p) for p in group]]
 
         def descend(k: int) -> Iterator[OpTable]:
             tied = []
@@ -368,20 +368,22 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
     lefts: dict[tuple[int, ...], tuple[tuple[int, ...], Relabeling]] = {}
-    relabelings = _symmetric_group(n).relabelings
+    relabelings = _symmetric_group(n)
     for leader, _ in _fill(n, _ASSOCIATIVITY, relabelings[1:]):
         least = leader.entries
+        source = bytes(least)
         for p in relabelings:
-            img, cells = p
-            lefts.setdefault(tuple(map(img, cells(least))), (least, p))
-    filled: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for entries, (least, (img, cells)) in sorted(lefts.items()):
+            table, cells = p
+            lefts.setdefault(cells(source.translate(table)), (least, p))
+    filled: dict[tuple[int, ...], list[bytes]] = {}
+    for entries, (least, (table, cells)) in sorted(lefts.items()):
         rights = filled.get(least)
         if rights is None:
-            rights = filled[least] = [r.entries for r in _right_tables(OpTable(n, least))]
+            rights = filled[least] = [bytes(r.entries)
+                                      for r in _right_tables(OpTable(n, least))]
         left = OpTable(n, entries)
         # built in one batch, so that each later next() costs only a pair()
-        images = sorted(tuple(map(img, cells(r))) for r in rights)
+        images = sorted(cells(r.translate(table)) for r in rights)
         for right in [OpTable(n, r) for r in images]:
             yield pair(left, right)
 
@@ -468,7 +470,7 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
         raise BoundExceeded(f"classification limited to n <= {max_n}")
     fact = factorial(n)
     found = []  # (L0, R, |Aut(L0, R)|, whether L0 is rectangular), in key order
-    for left, auts in _fill(n, _ASSOCIATIVITY, _symmetric_group(n).relabelings[1:]):
+    for left, auts in _fill(n, _ASSOCIATIVITY, _symmetric_group(n)[1:]):
         rectangular = rectangular_witness(left) is None
         for right, stab in _right_tables(left, auts):
             found.append((left, right, len(stab) + 1, rectangular))

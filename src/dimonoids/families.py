@@ -21,6 +21,7 @@ from .errors import (
     CarrierTooSmall,
     EmptyA,
     EqualDistinguished,
+    SizeMismatch,
     ZeroInA,
 )
 from .tables import OpTable, _check_index, adjoin_zero, check_size, dual_table
@@ -262,6 +263,8 @@ def build(params: FamilyParams) -> OpTable:
 def family_sweep(n_max: int) -> Iterator[tuple[FamilyParams, OpTable]]:
     """Every valid parameter choice for every family with 1 <= n <= n_max,
     each n in FAMILIES order, built through the dispatcher."""
+    if type(n_max) is not int:
+        raise SizeMismatch(f"n_max must be an int, got {n_max!r}")
     for n in range(1, n_max + 1):
         for fam, row in _FAMILY_ROWS.items():
             for values in row.choices(n):

@@ -11,11 +11,10 @@ order as the product of the transversal sizes, and the member set expanded
 only when asked for.  matches_symmetric_product checks the order and the
 generators, never the members.
 
-canonical_key is an n! scan up to CANONICAL_BOUND, done once per semigroup
-class: the scan of one left table relabels it onto every table of its class,
-and an orbit index keeps, for each of them, the least table L0 of the class
-with Aut(L0) and one relabeling onto L0.  The index and the layout of its
-entries are private to canonical_key.
+canonical_key is an n! scan up to CANONICAL_BOUND.  The scan of a left table
+finds its least relabeled table L0 and every relabeling onto L0; a bounded
+memo keeps that result per distinct left table, so the right table of each
+dimonoid is relabeled only by those few.
 
 Every function here also accepts a bare OpTable where a dimonoid is expected,
 treating it as the trivial dimonoid whose two operations coincide; that makes
@@ -25,7 +24,7 @@ the same machinery usable for plain semigroups.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, permutations as _permutations
+from itertools import permutations as _permutations
 from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -88,8 +87,11 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 
 def relabel_table(t: OpTable, p: Permutation) -> OpTable:
-    """Transport the table along p: new(p(x), p(y)) = p(old(x, y))."""
+    """Transport the table along p: new(p(x), p(y)) = p(old(x, y)).  A
+    permutation of another size raises SizeMismatch."""
     n, e, img = t.n, t.entries, p.images
+    if len(img) != n:
+        raise SizeMismatch(f"a permutation of {len(img)} points cannot relabel {n} elements")
     out = [0] * (n * n)
     for x in range(n):
         xn = x * n
@@ -446,112 +448,63 @@ def matches_symmetric_product(auts: AutSet, spec: SymmetricProductSpec) -> bool:
     return True
 
 
-# a relabeling p as (image lookup x -> p(x), gather of the source cells)
-Relabeling = tuple[Callable[[int], int], Callable[[tuple[int, ...]], tuple[int, ...]]]
-
-
-class _SymmetricGroup(NamedTuple):
-    """S_n with its members numbered in the lexicographic order of their image
-    tuples, the order of itertools.permutations, so index 0 is the identity."""
-
-    # every member p as a relabeling: the gather reads the old cells in the
-    # relabeled table's cell order, so the relabeled entries are
-    # tuple(map(image, gather(entries))), as relabel_table would build them
-    relabelings: tuple[Relabeling, ...]
-    # after[s][g]: the index of g . s, the relabeling by s and then by g
-    after: tuple[tuple[int, ...], ...]
-    # inverse[s]: the index of s^-1
-    inverse: tuple[int, ...]
+# a relabeling p as (the images p(x) as a bytes.translate table, the gather of
+# the source cells): the gather reads the old cells in the relabeled table's
+# cell order, so the relabeled entries are gather(bytes(entries).translate(
+# table)), as relabel_table would build them, with no Python call per cell
+Relabeling = tuple[bytes, Callable[[bytes], tuple[int, ...]]]
 
 
 @lru_cache(maxsize=CANONICAL_BOUND)
-def _symmetric_group(n: int) -> _SymmetricGroup:
-    """S_n as relabelings, product table and inverses; built once per n on
-    first use."""
+def _symmetric_group(n: int) -> tuple[Relabeling, ...]:
+    """Every member of S_n as a relabeling, in the lexicographic order of
+    their image tuples, the order of itertools.permutations, so the identity
+    comes first; built once per n on first use."""
     rng = range(n)
-    members = list(_permutations(rng))
-    index = {img: i for i, img in enumerate(members)}
     relabelings = []
-    inverse = []
-    for img in members:
+    for img in _permutations(rng):
         inv = [0] * n
         for x, v in enumerate(img):
             inv[v] = x
-        inverse.append(index[tuple(inv)])
         cells = [inv[i] * n + inv[j] for i in rng for j in rng]
         # itemgetter of a single index returns the entry, not a 1-tuple
-        relabelings.append((img.__getitem__, itemgetter(*cells) if n > 1 else tuple))
-    after = tuple(tuple(index[tuple(g[v] for v in s)] for g in members) for s in members)
-    return _SymmetricGroup(tuple(relabelings), after, tuple(inverse))
+        relabelings.append((bytes(img) + bytes(range(n, 256)),
+                            itemgetter(*cells) if n > 1 else tuple))
+    return tuple(relabelings)
 
 
-# The orbit index: each left table T met so far, mapped to its class record
-# (L0, Aut(L0)) and the first s with s(T) = L0.  L0 is the least relabeled
-# table of T's class and Aut(L0) lists the indices g with g(L0) = L0 into
-# _symmetric_group(n); the relabelings s with s(T) = L0 are then exactly the
-# g . s for g in Aut(L0).  One n! scan fills the entries of a whole class.
-# The bound, counted in tables, is above the 183,732 labeled semigroups of
-# order 5, so canonical keys at order <= 5 never clear the index.
-ORBIT_INDEX_BOUND = 1 << 18
-# ((L0, Aut(L0)), s): the class record, shared by the class, and s
-_OrbitEntry = tuple[tuple[tuple[int, ...], tuple[int, ...]], int]
-_orbit_index: dict[tuple[int, ...], _OrbitEntry] = {}
-
-
-def _scan_left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
-    """Relabel `left` by every member of S_n and index every image it takes,
-    the labeled tables of its semigroup class, clearing the index first when
-    the images would not fit under ORBIT_INDEX_BOUND.  Returns the entry of
-    `left`."""
-    relabelings, after, inverse = _symmetric_group(n)
-    parts = [tuple(map(img, cells(left))) for img, cells in relabelings]
+# One entry per distinct left table; the bound is above the 3,492 left tables
+# of the order-4 stream and the 4,549 of the duals that classify(5) keys.
+@lru_cache(maxsize=1 << 16)
+def _left_minimizers(n: int, left: tuple[int, ...]
+                     ) -> tuple[tuple[int, ...], tuple[Relabeling, ...]]:
+    """The least relabeled table L0 of the left table `left` and every
+    relabeling s with s(left) = L0, in the order of _symmetric_group(n): one
+    scan of all n! relabelings per distinct left table."""
+    relabelings = _symmetric_group(n)
+    source = bytes(left)
+    parts = [cells(source.translate(table)) for table, cells in relabelings]
     least = min(parts)
-    minimizers = [s for s, part in enumerate(parts) if part == least]
-    after_first_inv = after[inverse[minimizers[0]]]
-    record = (least, tuple(after_first_inv[m] for m in minimizers))
-    # T = s(left) is taken to L0 by m . s^-1 for each minimizer m of left;
-    # the identity comes first, so the entry of `left` leads the orbit
-    orbit: dict[tuple[int, ...], _OrbitEntry] = {}
-    for s, part in enumerate(parts):
-        if part not in orbit:
-            after_s_inv = after[inverse[s]]
-            orbit[part] = (record, min(after_s_inv[m] for m in minimizers))
-    if len(_orbit_index) + len(orbit) > ORBIT_INDEX_BOUND:
-        _orbit_index.clear()
-    _orbit_index.update(islice(orbit.items(), ORBIT_INDEX_BOUND))
-    return orbit[left]
-
-
-def _left_orbit(n: int, left: tuple[int, ...]) -> _OrbitEntry:
-    """((L0, Aut(L0)), s) for the left table `left`: its least relabeled table,
-    the automorphisms of that as indices into _symmetric_group(n), and the
-    index of the first relabeling s, in lexicographic order, with
-    s(left) = L0.  Read from the orbit index, scanning on a miss."""
-    entry = _orbit_index.get(left)
-    return _scan_left_orbit(n, left) if entry is None else entry
+    return least, tuple(s for s, part in zip(relabelings, parts) if part == least)
 
 
 def canonical_key(d: Union[OpTable, DiTable]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lexicographically least (left entries, right entries) over all
     relabelings; the comparison key behind canonical_form.  The left part
     decides first, so the right part is minimized only over the relabelings
-    that give the least left part L0: the g . s for g in Aut(L0), with s and
-    Aut(L0) read from the orbit index, which scans all n! relabelings only
-    for the first left table it meets of each semigroup class.  Limited to
+    that give the least left part L0.  Those and L0 come from a bounded memo
+    that scans all n! relabelings once per distinct left table.  Limited to
     n <= CANONICAL_BOUND."""
     d = as_ditable(d)
     n = d.n
     if n > CANONICAL_BOUND:
         raise BoundExceeded(f"canonical form limited to n <= {CANONICAL_BOUND}, got {n}")
-    (best_left, aut), first = _left_orbit(n, d.left.entries)
-    relabelings, after, _ = _symmetric_group(n)
-    after_first = after[first]
-    re_ = d.right.entries
-    # a plain loop: min() over a comprehension costs about 0.5 us more a call
+    best_left, minimizers = _left_minimizers(n, d.left.entries)
+    source = bytes(d.right.entries)
+    # a plain loop: min() over a comprehension costs about 0.4 us more a call
     best_right = None
-    for g in aut:
-        img, cells = relabelings[after_first[g]]
-        right = tuple(map(img, cells(re_)))
+    for table, cells in minimizers:
+        right = cells(source.translate(table))
         if best_right is None or right < best_right:
             best_right = right
     return best_left, best_right

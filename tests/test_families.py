@@ -200,6 +200,14 @@ def test_family_sweep_matches_the_constructors_up_to_five():
         assert set(params) == _valid_params(n), n
 
 
+def test_family_sweep_rejects_non_int_bounds():
+    # as all_cases does: a bool or a float is not a bound, and an error comes
+    # before anything is built
+    for n_max in (True, 2.0, "3", None):
+        with pytest.raises(SizeMismatch):
+            list(family_sweep(n_max))
+
+
 def test_every_family_table_is_associative_up_to_four():
     count = 0
     for params, table in family_sweep(4):

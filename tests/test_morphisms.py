@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from functools import lru_cache
 from itertools import groupby
 from math import factorial
 
@@ -115,6 +117,17 @@ def test_check_morphism_size_rules():
         check_morphism(small, small, [0])
     with pytest.raises(IndexOutOfRange):
         check_morphism(small, small, [0, 5])
+
+
+def test_relabeling_checks_the_permutation_size():
+    # too many points, too many with an image out of range, and too few
+    for t, images in ((left_zero_sg(2), (0, 1, 2)), (left_zero_sg(2), (2, 0, 1)),
+                      (lob(3, 0, 1), (1, 0))):
+        p = Permutation.of(images)
+        with pytest.raises(SizeMismatch):
+            relabel_table(t, p)
+        with pytest.raises(SizeMismatch):
+            relabel_dimonoid(pair(t, t), p)
 
 
 def test_check_morphism_rejects_non_int_images():
@@ -434,32 +447,20 @@ def test_canonical_key_matches_reference_on_order_four_semigroups(order_four):
         assert canonical_key(t) == reference_key(t)
 
 
-def count_scans(monkeypatch):
-    """Start from an empty orbit index and list the tables it scans."""
-    scans = []
-    scan = morphisms._scan_left_orbit
-
-    def counted(n, left):
-        scans.append(left)
-        return scan(n, left)
-
-    monkeypatch.setattr(morphisms, "_orbit_index", {})
-    monkeypatch.setattr(morphisms, "_scan_left_orbit", counted)
-    return scans
-
-
-def test_canonical_key_matches_reference_on_order_four_sample(order_four, monkeypatch):
-    # whole runs of one left table, in stream order; the orbit index scans
-    # one left table per semigroup class and serves every other from it
+def test_canonical_key_matches_reference_on_order_four_sample(order_four):
+    # whole runs of one left table, in stream order; the memo scans each
+    # distinct left table once and serves a second pass without a scan
     runs = [list(run) for _, run in groupby(order_four, key=lambda d: d.left)]
     assert len(runs) == 3492
     picked = sorted(random.Random(4).sample(range(len(runs)), 300))
-    scans = count_scans(monkeypatch)
     sample = [d for i in picked for d in runs[i]]
-    for d in sample:
-        assert canonical_key(d) == reference_key(d)
-    classes = {reference_key(runs[i][0].left)[0] for i in picked}
-    assert len(scans) == len(classes) < len(picked)
+    memo = morphisms._left_minimizers
+    memo.cache_clear()
+    keys = [canonical_key(d) for d in sample]
+    assert keys == [reference_key(d) for d in sample]
+    assert memo.cache_info().misses == len(picked)
+    assert [canonical_key(d) for d in sample] == keys
+    assert memo.cache_info().misses == len(picked)
 
 
 def reference_minimizers(t):
@@ -470,42 +471,41 @@ def reference_minimizers(t):
     return least, [p for part, p in parts if part == least]
 
 
-def test_orbit_index_matches_the_scan_of_every_semigroup(monkeypatch):
-    # one scan per semigroup class (A027851); every other labeled table's
-    # entry is filled from the scan of another member of its class
-    scans = count_scans(monkeypatch)
+def test_left_minimizers_match_the_scan_of_every_semigroup():
+    # every labeled semigroup against the n! reference, its relabelings read
+    # as permutations by their position in _symmetric_group(n); the least
+    # tables are the semigroup classes (A027851)
     for n, classes, labeled in ((1, 1, 1), (2, 5, 8), (3, 24, 113), (4, 188, 3492)):
         members = list(all_permutations(n))
-        after = morphisms._symmetric_group(n).after
-        records = set()
+        position = {s: i for i, s in enumerate(morphisms._symmetric_group(n))}
+        shared, ties = Counter(), {}
         for t in enumerate_semigroups(n, max_n=4):
-            record, first = morphisms._left_orbit(n, t.entries)
-            least, aut = record
-            ref_least, ref_minimizers = reference_minimizers(t)
-            assert least == ref_least
-            assert sorted(members[after[first][g]] for g in aut) == ref_minimizers
-            assert members[first] == ref_minimizers[0]
-            records.add(record)
-        assert len(records) == classes
-        assert len(scans) == classes
-        # orbit-stabilizer: the classes hold n!/|Aut(L0)| labeled tables each
-        assert sum(factorial(n) // len(aut) for _, aut in records) == labeled
-        scans.clear()
+            least, minimizers = morphisms._left_minimizers(n, t.entries)
+            assert (least, [members[position[s]] for s in minimizers]) == \
+                reference_minimizers(t)
+            shared[least] += 1
+            assert ties.setdefault(least, len(minimizers)) == len(minimizers)
+        assert len(shared) == classes and sum(shared.values()) == labeled
+        # orbit-stabilizer: n!/|Aut(L0)| labeled tables share each least table
+        # L0, and each of them reaches L0 by |Aut(L0)| relabelings
+        assert all(count == factorial(n) // ties[least] for least, count in shared.items())
 
 
-@pytest.mark.parametrize("bound", [10, 60])
-def test_orbit_index_stays_within_its_bound(order_four, bound, monkeypatch):
-    # orbits of up to 24 tables: a bound of 10 cuts them, one of 60 clears
-    # the index every few scans
-    monkeypatch.setattr(morphisms, "ORBIT_INDEX_BOUND", bound)
-    scans = count_scans(monkeypatch)
+@pytest.mark.parametrize("maxsize", [10, 60])
+def test_left_minimizers_evict_within_their_bound(order_four, maxsize, monkeypatch):
+    # the stream sample meets hundreds of left tables, so a memo of 10 or 60
+    # evicts all the way through; the keys must not change
+    shipped = morphisms._left_minimizers
+    memo = lru_cache(maxsize=maxsize)(shipped.__wrapped__)
+    monkeypatch.setattr(morphisms, "_left_minimizers", memo)
     sizes = []
     for d in order_four[::40]:
         assert canonical_key(d) == reference_key(d)
-        sizes.append(len(morphisms._orbit_index))
-    assert max(sizes) <= bound
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
-    assert len(scans) > 188
+        sizes.append(memo.cache_info().currsize)
+    assert max(sizes) == maxsize
+    assert memo.cache_info().misses > 2 * maxsize
+    # the shipped memo holds every left table classify(5) keys duals for
+    assert shipped.cache_info().maxsize >= 4549
 
 
 def left_ties(t):
