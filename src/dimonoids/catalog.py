@@ -777,7 +777,7 @@ def _pairing_records(k_max: int) -> list[TheoremRecord]:
     lrec_failures = []
     lnull_failures = []
     for k in range(1, k_max + 1):
-        lo_table = left_zero_sg(k)
+        lo_table, nulls = left_zero_sg(k), [null_sg(k, z) for z in range(k)]
         for t in enumerate_semigroups(k):
             rc = right_commutative_witness(t) is None
             if axioms_ok(t, dual_table(t)) != rc:
@@ -787,8 +787,7 @@ def _pairing_records(k_max: int) -> list[TheoremRecord]:
                 lrec_failures.append(f"n={k} table {t.rows()}: left-zero pairing != {rect}")
             e = t.entries
             left_zeros = element_roles(t).left_zeros
-            for z in range(k):
-                null = null_sg(k, z)
+            for z, null in enumerate(nulls):
                 # x*y*w = x*z is associativity with the null table in the s place
                 cond = z in left_zeros and assoc_witness(e, e, e, null.entries, k) is None
                 if axioms_ok(t, null) != cond:

@@ -5,10 +5,20 @@ Elements are the indices 0..n-1.  A table stores its entries row-major, so
 ``entries[x * n + y]`` is x * y with x the left operand.  All values are
 immutable after construction and every function here is pure, so a table can
 be shared freely, for example as a cache key or a fixed place of an identity.
+
+The identity checks (associativity, the three pairing axioms, rectangularity,
+right commutativity) compare the two sides of an identity over all n**3
+triples at once.  Each side is built whole, in scan order, as one bytes
+object by C-level gathers and translates, so Python makes O(n**2) steps, not
+n**3; one comparison decides a pass, and the first differing cell of a
+failure is its first violating triple, the witness a cell-by-cell scan
+returns.  Carriers above 256 elements, whose cells bytes cannot hold, run the
+same comparison over str of chr codes.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, compress
 from typing import NamedTuple, Optional, Sequence
 
@@ -84,44 +94,93 @@ def from_rows(rows: Sequence[Sequence[int]]) -> OpTable:
     return make_table(len(rows), [v for row in rows for v in row])
 
 
+# bytes.translate takes a 256-entry table.  The cells hold codes below n, so
+# the 256 bytes from row x of a table on, padded past its end, translate as
+# row x does
+_PAD = bytes(256)
+
+
+# A sweep reads the same few tables again and again (an axiom report reads
+# two tables five times), so the last 64 are kept, keyed by their entries
+@lru_cache(maxsize=64)
+def _prepared(t: Sequence[int], n: int) -> tuple[list, list]:
+    """The rows of the table with entry tuple t, as bytes, which the left side
+    of an identity gathers, and per row x what its right side is built from:
+    the 256 bytes from row x on, a translate table.  Above 256 elements, where
+    bytes cannot hold the cells, they are chr codes in a str, and since
+    str.translate is slow the second list holds the rows of the transpose,
+    which the right side gathers instead.  Shared by every caller: read only."""
+    if n > 256:
+        t = "".join(map(chr, t))
+        return [t[i:i + n] for i in range(0, n * n, n)], [t[v::n] for v in range(n)]
+    t, padded = bytes(t), bytes(t) + _PAD
+    return ([t[i:i + n] for i in range(0, n * n, n)],
+            [padded[i:i + 256] for i in range(0, n * n, n)])
+
+
+def _first_mismatch(left, right, n: int) -> Witness:
+    """The triple of the first cell where two unequal scan-order buffers of
+    n**3 triples (or of one block of n**2, read as x = 0) differ."""
+    i = 0
+    # every cell before i matches: skip n cells at once while they all match
+    while left[i] == right[i]:
+        i += n if left[i:i + n] == right[i:i + n] else 1
+    return (i // (n * n), i // n % n, i % n)
+
+
 def assoc_witness(p: Sequence[int], q: Sequence[int], r: Sequence[int],
                   s: Sequence[int], n: int) -> Optional[Witness]:
     """None when (x q y) p z = x r (y s z) holds for every triple of row-major
     entry tuples on 0..n-1, else the first violating (x, y, z) in scan order x,
     then y, then z.  Associativity binds one table to all four places; the
-    dimonoid axioms bind the two operations of a pair."""
-    rng = range(n)
-    for x in rng:
-        xn = x * n
-        for y in rng:
-            xyn = q[xn + y] * n
-            yn = y * n
-            for z in rng:
-                if p[xyn + z] != r[xn + s[yn + z]]:
-                    return (x, y, z)
+    dimonoid axioms bind the two operations of a pair.
+
+    The left side, (x q y) p z for every triple in scan order, joins row
+    x q y of p for each cell of q.  The right side, x r (y s z), joins for
+    each x the table s translated by row x of r.  Equal sides are a pass;
+    otherwise the first cell where they differ, at index i, is the witness
+    (i // n**2, i // n % n, i % n), the same first violating triple, in the
+    same scan order, as a cell-by-cell loop finds.  Above 256 elements, where
+    the cells are chr codes in a str and str.translate makes a mapping lookup
+    per cell, the right side gathers the columns of r by s instead and is
+    compared one block of n**2 cells at a time."""
+    return _witness(_prepared(p, n), q, _prepared(r, n), s, n)
+
+
+def _witness(p: tuple, q: Sequence[int], r: tuple, s, n: int) -> Optional[Witness]:
+    """assoc_witness with the tables of the p and r places _prepared."""
+    rows, maps = p[0], r[1]
+    left = rows[0][:0].join([rows[a] for a in q])
+    if n <= 256:
+        right = b"".join(map(bytes(s).translate, maps))
+        return None if left == right else _first_mismatch(left, right, n)
+    # gathered holds column s[k] of r for each cell k of s, so every n-th of
+    # its cells from x is block x of the right side; the blocks are compared
+    # one at a time, so that a failure stops at its first differing block
+    gathered, nn = "".join([maps[v] for v in s]), n * n
+    for x in range(n):
+        if (block := left[x * nn:(x + 1) * nn]) != (right := gathered[x::n]):
+            return (x,) + _first_mismatch(block, right, n)[1:]
     return None
 
 
 def is_associative(t: OpTable) -> Optional[Witness]:
     """Return None when (x*y)*z = x*(y*z) holds for every triple, else the
     lexicographically first violating (x, y, z) in scan order x, then y, then z."""
-    e = t.entries
-    return assoc_witness(e, e, e, e, t.n)
+    return assoc_witness(t.entries, t.entries, t.entries, t.entries, t.n)
 
 
 def right_commutative_witness(t: OpTable) -> Optional[Witness]:
     """None when s*x*y = s*y*x (left-to-right bracketing) for every triple,
     else the first violating (s, x, y) in scan order s, then x, then y."""
-    n, e = t.n, t.entries
-    rng = range(n)
-    for s in rng:
-        sn = s * n
-        for x in rng:
-            sxn = e[sn + x] * n
-            for y in rng:
-                if e[sxn + y] != e[e[sn + y] * n + x]:
-                    return (s, x, y)
-    return None
+    n, nn = t.n, t.n * t.n
+    # s*x*y is the left side of associativity; s*y*x is the same buffer with
+    # each n x n block of one s transposed
+    rows = _prepared(t.entries, n)[0]
+    left = rows[0][:0].join([rows[a] for a in t.entries])
+    right = left[:0].join([left[i + x:i + nn:n] for i in range(0, n * nn, nn)
+                           for x in range(n)])
+    return None if left == right else _first_mismatch(left, right, n)
 
 
 def rectangular_witness(t: OpTable) -> Optional[Witness]:
@@ -129,7 +188,7 @@ def rectangular_witness(t: OpTable) -> Optional[Witness]:
     else the first violating (x, y, z) in scan order x, then y, then z."""
     n, e = t.n, t.entries
     # y * z = z is the right-zero table in the s place of associativity
-    return assoc_witness(e, e, e, tuple(range(n)) * n, n)
+    return assoc_witness(e, e, e, (bytes if n <= 256 else tuple)(range(n)) * n, n)
 
 
 class RoleReport(NamedTuple):
@@ -180,15 +239,8 @@ def element_roles(t: OpTable) -> RoleReport:
     both = left_zeros & right_zeros
     # an element that is a zero on both sides is unique when it exists
     zero = min(both) if both else None
-    return RoleReport(
-        left_zeros=left_zeros,
-        right_zeros=right_zeros,
-        zero=zero,
-        left_identities=left_ids,
-        right_identities=right_ids,
-        identities=left_ids & right_ids,
-        idempotents=idempotents,
-    )
+    return RoleReport(left_zeros, right_zeros, zero, left_ids, right_ids,
+                      left_ids & right_ids, idempotents)
 
 
 class ClassFlags(NamedTuple):

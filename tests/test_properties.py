@@ -1,7 +1,9 @@
 """Law-level properties checked on randomly drawn tables and permutations."""
 
+import random
 from itertools import product
 
+import pytest
 from hypothesis import given, strategies as st
 
 from dimonoids import (
@@ -17,7 +19,9 @@ from dimonoids import (
     element_roles,
     enumerate_dimonoids_backtracking,
     enumerate_semigroups,
+    family_sweep,
     is_associative,
+    lob,
     naive_flip,
     pair,
     relabel_dimonoid,
@@ -147,28 +151,24 @@ def _first_failure(n, holds):
 
 def _reference_report(le, re_):
     """The five axioms evaluated cell by cell, in AxiomReport field order."""
-    n = le.n
+    n, l, r = le.n, le.entries, re_.entries
     return (
-        _first_failure(n, lambda x, y, z:
-                       le.entry(le.entry(x, y), z) == le.entry(x, le.entry(y, z))),
-        _first_failure(n, lambda x, y, z:
-                       re_.entry(re_.entry(x, y), z) == re_.entry(x, re_.entry(y, z))),
-        _first_failure(n, lambda x, y, z:
-                       le.entry(le.entry(x, y), z) == le.entry(x, re_.entry(y, z))),
-        _first_failure(n, lambda x, y, z:
-                       le.entry(re_.entry(x, y), z) == re_.entry(x, le.entry(y, z))),
-        _first_failure(n, lambda x, y, z:
-                       re_.entry(le.entry(x, y), z) == re_.entry(x, re_.entry(y, z))),
+        _first_failure(n, lambda x, y, z: l[l[x * n + y] * n + z] == l[x * n + l[y * n + z]]),
+        _first_failure(n, lambda x, y, z: r[r[x * n + y] * n + z] == r[x * n + r[y * n + z]]),
+        _first_failure(n, lambda x, y, z: l[l[x * n + y] * n + z] == l[x * n + r[y * n + z]]),
+        _first_failure(n, lambda x, y, z: l[r[x * n + y] * n + z] == r[x * n + l[y * n + z]]),
+        _first_failure(n, lambda x, y, z: r[l[x * n + y] * n + z] == r[x * n + r[y * n + z]]),
     )
 
 
 def _reference_rc(t):
-    return _first_failure(t.n, lambda s, x, y:
-                          t.entry(t.entry(s, x), y) == t.entry(t.entry(s, y), x))
+    n, e = t.n, t.entries
+    return _first_failure(n, lambda s, x, y: e[e[s * n + x] * n + y] == e[e[s * n + y] * n + x])
 
 
 def _reference_rect(t):
-    return _first_failure(t.n, lambda x, y, z: t.entry(t.entry(x, y), z) == t.entry(x, z))
+    n, e = t.n, t.entries
+    return _first_failure(n, lambda x, y, z: e[e[x * n + y] * n + z] == e[x * n + z])
 
 
 @given(table_pairs(max_n=4))
@@ -193,6 +193,56 @@ def test_commutativity_flags_equal_cellwise_reference(t):
 @given(op_tables(max_n=4))
 def test_identity_witnesses_equal_cellwise_reference(t):
     assert right_commutative_witness(t) == _reference_rc(t)
+    assert rectangular_witness(t) == _reference_rect(t)
+
+
+def _reference_assoc(t):
+    n, e = t.n, t.entries
+    return _first_failure(n, lambda x, y, z: e[e[x * n + y] * n + z] == e[x * n + e[y * n + z]])
+
+
+def _mutated(t, rnd):
+    """t with one cell, drawn by rnd, set to another value (t itself on one
+    element)."""
+    entries = list(t.entries)
+    i = rnd.randrange(len(entries))
+    entries[i] = (entries[i] + rnd.randrange(1, t.n)) % t.n if t.n > 1 else 0
+    return OpTable(t.n, tuple(entries))
+
+
+def test_witnesses_deep_in_the_scan_equal_cellwise_reference():
+    # drawn tables fail in their first cells; the family tables and the
+    # construction cases up to seven elements hold or fail late, and one
+    # seeded one-cell mutation of each fails anywhere in the scan
+    rnd = random.Random(23)
+    tables = sorted({t for _, t in family_sweep(6)})
+    tables += [_mutated(t, rnd) for t in tables]
+    pairs = sorted({(c.dimonoid.left, c.dimonoid.right) for c in all_cases(6)})
+    pairs += [(_mutated(left, rnd), right) if rnd.random() < 0.5
+              else (left, _mutated(right, rnd)) for left, right in pairs]
+    assert max(t.n for t in tables) == max(left.n for left, _ in pairs) == 7
+    witnesses = []
+    for t in tables:
+        witnesses += [is_associative(t), rectangular_witness(t), right_commutative_witness(t)]
+        assert witnesses[-3:] == [_reference_assoc(t), _reference_rect(t), _reference_rc(t)]
+    for left, right in pairs:
+        report = check_axioms(pair(left, right))
+        assert tuple(report) == _reference_report(left, right)
+        assert axioms_ok(left, right) == report.all_ok
+        witnesses += report
+    # witnesses turn up in every block of the scan, not only in its first cells
+    assert {w[0] for w in witnesses if w is not None} == set(range(7))
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_witness_at_the_byte_encoding_boundary(n):
+    # bytes hold cells up to 256 elements; above, the kernels run over str
+    t = lob(n, 0, 1)
+    assert is_associative(t) is None
+    entries = list(t.entries)
+    entries[2 * n + n - 1] = 3  # 2 * (n-1) = 3, not 2: the first failure is in block x = 2
+    t = OpTable(n, tuple(entries))
+    assert is_associative(t) == _reference_assoc(t) == (2, 0, n - 1)
     assert rectangular_witness(t) == _reference_rect(t)
 
 
