@@ -305,8 +305,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (DimonoidError, json.JSONDecodeError, OSError, KeyError, TypeError,
-            ValueError) as exc:
+    except DimonoidError as exc:
+        _fail(type(exc).__name__, str(exc))
+        return 3
+    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
         _fail(type(exc).__name__, str(exc))
         return 3
 

@@ -29,9 +29,8 @@ from .tables import (
     OpTable,
     Witness,
     _check_index,
-    _prepared,
-    _witness,
     adjoin_zero,
+    assoc_witness,
     dual_table,
     element_roles,
     is_associative,
@@ -69,28 +68,26 @@ class AxiomReport(NamedTuple):
                 for name, w in self._asdict().items()}
 
 
-def _axiom_witnesses(left: OpTable, right: OpTable, bindings: tuple[str, ...] = AXIOM_BINDINGS
-                     ) -> Iterator[Optional[Witness]]:
-    """The witnesses of the axioms in bindings, by default all five in
-    AxiomReport field order, each computed on demand.  Each table is
-    _prepared once for all of them."""
+def _axiom_witnesses(left: OpTable, right: OpTable) -> Iterator[Optional[Witness]]:
+    """The five axiom witnesses, each computed on demand: the three pairing
+    axioms first, then the two associativities.  The enumerators pair
+    semigroups, whose associativities hold, so a failing pair fails on one
+    of the first three."""
     t = {"l": left.entries, "r": right.entries}
-    prepared = {"l": _prepared(left.entries, left.n), "r": _prepared(right.entries, left.n)}
-    for p, q, r, s in bindings:
-        yield _witness(prepared[p], t[q], prepared[r], t[s], left.n)
+    for p, q, r, s in AXIOM_BINDINGS[2:] + AXIOM_BINDINGS[:2]:
+        yield assoc_witness(t[p], t[q], t[r], t[s], left.n)
 
 
 def _axiom_report(left: OpTable, right: OpTable) -> AxiomReport:
-    return AxiomReport(*_axiom_witnesses(left, right))
+    d1, d2, d3, *associativities = _axiom_witnesses(left, right)
+    return AxiomReport(*associativities, d1, d2, d3)
 
 
 def axioms_ok(left: OpTable, right: OpTable) -> bool:
     """Fast all-or-nothing axiom check used by the enumerators; equivalent to
     building the full report and asking all_ok, but stops at the first
-    failing axiom (a witness is a nonempty tuple, so any() stops there).  It
-    tries the three pairing axioms first: the enumerators pair semigroups,
-    whose associativities hold, so a failing pair fails on one of those."""
-    return not any(_axiom_witnesses(left, right, AXIOM_BINDINGS[2:] + AXIOM_BINDINGS[:2]))
+    failing axiom (a witness is a nonempty tuple, so any() stops there)."""
+    return not any(_axiom_witnesses(left, right))
 
 
 # DiTable writes its slots past its own __setattr__; the labeled stream

@@ -7,13 +7,15 @@ immutable after construction and every function here is pure, so a table can
 be shared freely, for example as a cache key or a fixed place of an identity.
 
 The identity checks (associativity, the three pairing axioms, rectangularity,
-right commutativity) compare the two sides of an identity over all n**3
-triples at once.  Each side is built whole, in scan order, as one bytes
-object by C-level gathers and translates, so Python makes O(n**2) steps, not
-n**3; one comparison decides a pass, and the first differing cell of a
-failure is its first violating triple, the witness a cell-by-cell scan
-returns.  Carriers above 256 elements, whose cells bytes cannot hold, run the
-same comparison over str of chr codes.
+right commutativity) compare the two sides of an identity over its n**3
+triples in scan order, a tile of whole n x n blocks at a time: a table of up
+to 40 elements in one tile, a larger one in tiles of at most 2**16 cells, or
+one block when a block is larger.  Each side of a tile is built as one
+encoded string by C-level joins and translates, so Python makes O(n**2)
+steps, not n**3, and holds O(n**2) cells.  One comparison decides a tile;
+the first differing cell of a failing tile is its first violating triple,
+the witness a cell-by-cell scan returns.  Cells are bytes up to 256 elements
+and chr codes in a str above, where bytes cannot hold them.
 """
 
 from __future__ import annotations
@@ -94,38 +96,33 @@ def from_rows(rows: Sequence[Sequence[int]]) -> OpTable:
     return make_table(len(rows), [v for row in rows for v in row])
 
 
-# bytes.translate takes a 256-entry table.  The cells hold codes below n, so
-# the 256 bytes from row x of a table on, padded past its end, translate as
-# row x does
-_PAD = bytes(256)
-
-
 # A sweep reads the same few tables again and again (an axiom report reads
-# two tables five times), so the last 64 are kept, keyed by their entries
+# two tables five times), so the last 64 are kept, keyed by their entries.
+# The kernels compare the two sides of an identity one tile of whole n x n
+# blocks of the scan at a time, a tile holding at most 2**16 cells where n**2
+# allows: a small table is compared whole, a large one block by block, so
+# memory stays O(n**2) and a failure stops at its first failing block
 @lru_cache(maxsize=64)
-def _prepared(t: Sequence[int], n: int) -> tuple[list, list]:
-    """The rows of the table with entry tuple t, as bytes, which the left side
-    of an identity gathers, and per row x what its right side is built from:
-    the 256 bytes from row x on, a translate table.  Above 256 elements, where
-    bytes cannot hold the cells, they are chr codes in a str, and since
-    str.translate is slow the second list holds the rows of the transpose,
-    which the right side gathers instead.  Shared by every caller: read only."""
-    if n > 256:
-        t = "".join(map(chr, t))
-        return [t[i:i + n] for i in range(0, n * n, n)], [t[v::n] for v in range(n)]
-    t, padded = bytes(t), bytes(t) + _PAD
-    return ([t[i:i + n] for i in range(0, n * n, n)],
-            [padded[i:i + 256] for i in range(0, n * n, n)])
+def _prepared(t: Sequence[int], n: int) -> tuple:
+    """The table with entry tuple t encoded one character a cell, with its
+    rows, which the left side of an identity gathers, and its tiles: for
+    each, its first x and one translate table per row x, which maps a table
+    through that row.  bytes.translate takes a 256-entry table, so a bytes
+    row is padded to 256 with its first cell; a str row is one as it is.
+    Shared by every caller: read only."""
+    enc = bytes(t) if n <= 256 else "".join(map(chr, t))
+    rows, k = [enc[i:i + n] for i in range(0, n * n, n)], (1 << 16) // (n * n) or 1
+    return enc, rows, [(x, [r.ljust(256, r[:1]) for r in rows[x:x + k]]) for x in range(0, n, k)]
 
 
-def _first_mismatch(left, right, n: int) -> Witness:
-    """The triple of the first cell where two unequal scan-order buffers of
-    n**3 triples (or of one block of n**2, read as x = 0) differ."""
+def _first_mismatch(left, right, n: int, x: int) -> Witness:
+    """The triple of the first cell where two unequal scan-order tiles of
+    triples, the first of them (x, 0, 0), differ."""
     i = 0
     # every cell before i matches: skip n cells at once while they all match
     while left[i] == right[i]:
         i += n if left[i:i + n] == right[i:i + n] else 1
-    return (i // (n * n), i // n % n, i % n)
+    return (x + i // (n * n), i // n % n, i % n)
 
 
 def assoc_witness(p: Sequence[int], q: Sequence[int], r: Sequence[int],
@@ -135,52 +132,41 @@ def assoc_witness(p: Sequence[int], q: Sequence[int], r: Sequence[int],
     then y, then z.  Associativity binds one table to all four places; the
     dimonoid axioms bind the two operations of a pair.
 
-    The left side, (x q y) p z for every triple in scan order, joins row
-    x q y of p for each cell of q.  The right side, x r (y s z), joins for
-    each x the table s translated by row x of r.  Equal sides are a pass;
-    otherwise the first cell where they differ, at index i, is the witness
-    (i // n**2, i // n % n, i % n), the same first violating triple, in the
-    same scan order, as a cell-by-cell loop finds.  Above 256 elements, where
-    the cells are chr codes in a str and str.translate makes a mapping lookup
-    per cell, the right side gathers the columns of r by s instead and is
-    compared one block of n**2 cells at a time."""
-    return _witness(_prepared(p, n), q, _prepared(r, n), s, n)
-
-
-def _witness(p: tuple, q: Sequence[int], r: tuple, s, n: int) -> Optional[Witness]:
-    """assoc_witness with the tables of the p and r places _prepared."""
-    rows, maps = p[0], r[1]
-    left = rows[0][:0].join([rows[a] for a in q])
-    if n <= 256:
-        right = b"".join(map(bytes(s).translate, maps))
-        return None if left == right else _first_mismatch(left, right, n)
-    # gathered holds column s[k] of r for each cell k of s, so every n-th of
-    # its cells from x is block x of the right side; the blocks are compared
-    # one at a time, so that a failure stops at its first differing block
-    gathered, nn = "".join([maps[v] for v in s]), n * n
-    for x in range(n):
-        if (block := left[x * nn:(x + 1) * nn]) != (right := gathered[x::n]):
-            return (x,) + _first_mismatch(block, right, n)[1:]
+    Both sides are built a tile at a time, in scan order, as encoded strings:
+    the left side, (x q y) p z, joins row x q y of p for each cell of row x
+    of q, and the right side, x r (y s z), joins s translated through row x
+    of r, for each x of the tile.  Equal tiles pass; otherwise the first cell
+    where they differ is the witness, the same first violating triple, in
+    the same scan order, as a cell-by-cell loop finds.  Python makes
+    O(n**2) steps, not n**3."""
+    rows, tiles, s = _prepared(p, n)[1], _prepared(r, n)[2], _prepared(s, n)[0]
+    for x, maps in tiles:
+        left = s[:0].join([rows[a] for a in q[x * n:(x + len(maps)) * n]])
+        if left != (right := s[:0].join(map(s.translate, maps))):
+            return _first_mismatch(left, right, n, x)
     return None
 
 
 def is_associative(t: OpTable) -> Optional[Witness]:
     """Return None when (x*y)*z = x*(y*z) holds for every triple, else the
     lexicographically first violating (x, y, z) in scan order x, then y, then z."""
-    return assoc_witness(t.entries, t.entries, t.entries, t.entries, t.n)
+    e = t.entries
+    return assoc_witness(e, e, e, e, t.n)
 
 
 def right_commutative_witness(t: OpTable) -> Optional[Witness]:
     """None when s*x*y = s*y*x (left-to-right bracketing) for every triple,
     else the first violating (s, x, y) in scan order s, then x, then y."""
-    n, nn = t.n, t.n * t.n
-    # s*x*y is the left side of associativity; s*y*x is the same buffer with
-    # each n x n block of one s transposed
-    rows = _prepared(t.entries, n)[0]
-    left = rows[0][:0].join([rows[a] for a in t.entries])
-    right = left[:0].join([left[i + x:i + nn:n] for i in range(0, n * nn, nn)
-                           for x in range(n)])
-    return None if left == right else _first_mismatch(left, right, n)
+    n, nn, e = t.n, t.n * t.n, t.entries
+    enc, rows, tiles = _prepared(e, n)
+    for s, maps in tiles:
+        # s*x*y is the left side of associativity; s*y*x is the same tile
+        # with each n x n block transposed
+        left = enc[:0].join([rows[a] for a in e[s * n:(s + len(maps)) * n]])
+        if left != (right := enc[:0].join([left[i + x:i + nn:n] for i in range(0, len(left), nn)
+                                           for x in range(n)])):
+            return _first_mismatch(left, right, n, s)
+    return None
 
 
 def rectangular_witness(t: OpTable) -> Optional[Witness]:
@@ -188,7 +174,7 @@ def rectangular_witness(t: OpTable) -> Optional[Witness]:
     else the first violating (x, y, z) in scan order x, then y, then z."""
     n, e = t.n, t.entries
     # y * z = z is the right-zero table in the s place of associativity
-    return assoc_witness(e, e, e, (bytes if n <= 256 else tuple)(range(n)) * n, n)
+    return assoc_witness(e, e, e, tuple(range(n)) * n, n)
 
 
 class RoleReport(NamedTuple):
@@ -239,8 +225,15 @@ def element_roles(t: OpTable) -> RoleReport:
     both = left_zeros & right_zeros
     # an element that is a zero on both sides is unique when it exists
     zero = min(both) if both else None
-    return RoleReport(left_zeros, right_zeros, zero, left_ids, right_ids,
-                      left_ids & right_ids, idempotents)
+    return RoleReport(
+        left_zeros=left_zeros,
+        right_zeros=right_zeros,
+        zero=zero,
+        left_identities=left_ids,
+        right_identities=right_ids,
+        identities=left_ids & right_ids,
+        idempotents=idempotents,
+    )
 
 
 class ClassFlags(NamedTuple):

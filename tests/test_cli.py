@@ -130,15 +130,16 @@ def test_verify_dimonoid_and_counterexample(capsys, tmp_path):
 def test_verify_above_256_elements(capsys):
     # bytes cannot hold the cells of 257 elements: the axiom kernels run over str
     n, axioms = 257, ("assoc_left", "assoc_right", "d1", "d2", "d3")
-    t = lob(n, 0, 1)
+    t = null_sg(n, 3)
     code, out, _ = run(capsys, "verify", "--json", json.dumps(t.to_json()))
     assert code == 0
     assert json.loads(out) == {k: "ok" for k in axioms}
     e = list(t.entries)
-    e[2 * n + n - 1] = 3
-    # the first violating triple of a cell-by-cell scan, (2, 0, 256)
+    e[3 * n + 3] = 256
+    # the first violating triple of a cell-by-cell scan: (0*0)*3 = 3*3 = 256, 0*(0*3) = 3
     witness = next([x, y, z] for x in range(n) for y in range(n) for z in range(n)
                    if e[e[x * n + y] * n + z] != e[x * n + e[y * n + z]])
+    assert witness == [0, 0, 3]
     code, out, _ = run(capsys, "verify", "--json", json.dumps(OpTable(n, tuple(e)).to_json()))
     assert code == 1
     # a bare table is the trivial dimonoid on it: all five axioms read one identity

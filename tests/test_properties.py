@@ -1,6 +1,7 @@
 """Law-level properties checked on randomly drawn tables and permutations."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -244,6 +245,26 @@ def test_witness_at_the_byte_encoding_boundary(n):
     t = OpTable(n, tuple(entries))
     assert is_associative(t) == _reference_assoc(t) == (2, 0, n - 1)
     assert rectangular_witness(t) == _reference_rect(t)
+
+
+def test_large_tables_that_fail_early_stop_at_their_first_block():
+    # 300 elements: the scan holds 27,000,000 triples, one n x n block 90,000
+    n = 300
+    shift = OpTable(n, tuple((x + 1) % n for x in range(n) for _ in range(n)))
+    right_zero = OpTable(n, tuple(range(n)) * n)
+    tracemalloc.start()
+    try:
+        # x*y = x+1: (0*0)*0 = 2 but 0*(0*0) = 1, and 0*0*0 = 2 but 0*0 = 1
+        assert is_associative(shift) == _reference_assoc(shift) == (0, 0, 0)
+        assert rectangular_witness(shift) == _reference_rect(shift) == (0, 0, 0)
+        # x*y = y: 0*0*1 = 1 but 0*1*0 = 0
+        assert right_commutative_witness(right_zero) == _reference_rc(right_zero) == (0, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the encoded tables and one block of each side take about 3 MB; both
+    # sides built whole would take 54 MB each
+    assert peak < 16 * 2**20
 
 
 @st.composite
