@@ -16,7 +16,6 @@ from dimonoids import (
     dumps_catalog,
     left_zero_sg,
     lo_arrow_pair,
-    lob,
     naive_flip,
     null_sg,
     pair,
