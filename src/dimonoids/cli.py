@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .dimonoid import (
     DiTable,
@@ -92,11 +92,13 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(doc: dict, fmt: str, table_text: Optional[str] = None) -> None:
+def _emit(doc: dict, fmt: str, table_text: Optional[Callable[[], str]] = None) -> None:
+    """Print the document, or under --format table the text table_text
+    renders; the text is rendered only then."""
     if fmt == "json" or table_text is None:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(table_text)
+        print(table_text())
 
 
 def _fail(code: str, message: str) -> None:
@@ -194,39 +196,38 @@ def _cmd_build(args) -> int:
             zero=args.zero,
         )
     table = build(params)
-    _emit(table.to_json(), args.format, _render_optable(table))
+    _emit(table.to_json(), args.format, lambda: _render_optable(table))
     return 0
 
 
 def _cmd_verify(args) -> int:
     d = _load_structure(args.file, args.inline)
     report = d.axiom_status
-    text = _render_ditable(d) + "\n" + "\n".join(
+    _emit(report.to_json(), args.format, lambda: _render_ditable(d) + "\n" + "\n".join(
         f"{name}: " + ("ok" if w is None else f"witness {w}")
-        for name, w in report._asdict().items())
-    _emit(report.to_json(), args.format, text)
+        for name, w in report._asdict().items()))
     return 0 if report.all_ok else 1
 
 
 def _cmd_props(args) -> int:
     d = _load_structure(args.file, args.inline)
     flags = di_flags(d)
-    text = "\n".join(f"{k}: {v}" for k, v in flags.to_json().items())
-    _emit(flags.to_json(), args.format, text)
+    _emit(flags.to_json(), args.format,
+          lambda: "\n".join(f"{k}: {v}" for k, v in flags.to_json().items()))
     return 0
 
 
 def _cmd_halo(args) -> int:
     d = _load_structure(args.file, args.inline)
     h = sorted(halo(d))
-    _emit({"halo": h}, args.format, "halo: {" + ", ".join(map(str, h)) + "}")
+    _emit({"halo": h}, args.format, lambda: "halo: {" + ", ".join(map(str, h)) + "}")
     return 0
 
 
 def _cmd_dual(args) -> int:
     d = _load_structure(args.file, args.inline)
     out = naive_flip(d) if args.naive else dual_dimonoid(d)
-    _emit(out.to_json(), args.format, _render_ditable(out))
+    _emit(out.to_json(), args.format, lambda: _render_ditable(out))
     return 0
 
 
@@ -252,7 +253,7 @@ def _cmd_iso(args) -> int:
     a = _load_structure(args.file_a, None)
     b = _load_structure(args.file_b, None)
     ok = are_isomorphic(a, b)
-    _emit({"isomorphic": ok}, args.format, "true" if ok else "false")
+    _emit({"isomorphic": ok}, args.format, lambda: "true" if ok else "false")
     return 0 if ok else 1
 
 

@@ -72,7 +72,13 @@ def _axiom_witnesses(left: OpTable, right: OpTable) -> Iterator[Optional[Witness
     """The five axiom witnesses, each computed on demand: the three pairing
     axioms first, then the two associativities.  The enumerators pair
     semigroups, whose associativities hold, so a failing pair fails on one
-    of the first three."""
+    of the first three.  When the two tables are one, as for a bare table
+    read as the trivial dimonoid, all five bindings read the same identity,
+    so its one witness is computed once and given for each."""
+    if left.entries == right.entries:
+        e = left.entries
+        yield from (assoc_witness(e, e, e, e, left.n),) * len(AXIOM_BINDINGS)
+        return
     t = {"l": left.entries, "r": right.entries}
     for p, q, r, s in AXIOM_BINDINGS[2:] + AXIOM_BINDINGS[:2]:
         yield assoc_witness(t[p], t[q], t[r], t[s], left.n)

@@ -3,13 +3,15 @@ automorphism sets matched against products of symmetric groups, and
 lexicographic canonical forms.
 
 One backtracking search, _IsoSearch, finds the first isomorphism between two
-structures of at most SEARCH_BOUND elements that extends a fixed prefix of
-images.  are_isomorphic runs it once from the empty prefix.  automorphisms
-runs it once per orbit of each level of a stabilizer chain and returns the
-group as an AutSet: one coset representative per orbit point and level, the
-order as the product of the transversal sizes, and the member set expanded
-only when asked for.  matches_symmetric_product checks the order and the
-generators, never the members.
+structures of at most SEARCH_BOUND elements; its plan checks each product
+cell once, against a code of the pair of products in both tables.
+are_isomorphic runs it once from the first level.  automorphisms runs it in
+place once per orbit of each level of a stabilizer chain, with the levels
+above mapped to themselves, and returns the group as an AutSet: one coset
+representative per orbit point and level, the order as the product of the
+transversal sizes, and the member set expanded only when asked for.
+matches_symmetric_product checks the order and the representatives, never
+the members.
 
 canonical_key is an n! scan up to CANONICAL_BOUND.  The scan of a left table
 finds its least relabeled table L0 and every relabeling onto L0; a bounded
@@ -160,19 +162,20 @@ class AutSet:
     Algorithms, 2003) along a base b_0..b_{n-1}.
 
     transversals[k] maps each point v of the orbit of b_k under G_k, the
-    subgroup that fixes b_0..b_{k-1} pointwise, to one member of G_k taking
-    b_k to v: one representative per coset of G_{k+1} in G_k.  Every member is
-    exactly one product t_0 . t_1 . ... . t_{n-1} of representatives, one per
-    level, so the order is the product of the transversal sizes and the
-    non-identity representatives generate the group.  The member set `perms`
-    is expanded from those products on first access; iteration is in sorted
-    order, so downstream output is deterministic.
+    subgroup that fixes b_0..b_{k-1} pointwise, to the image tuple of one
+    member of G_k taking b_k to v: one representative per coset of G_{k+1}
+    in G_k.  Every member is exactly one product t_0 . t_1 . ... . t_{n-1} of
+    representatives, one per level, so the order is the product of the
+    transversal sizes and the non-identity representatives generate the
+    group.  The member set `perms` is expanded from those products on first
+    access; iteration is in sorted order, so downstream output is
+    deterministic.
     """
 
     __slots__ = ("n", "base", "transversals", "_perms")
 
     def __init__(self, n: int, base: Sequence[int],
-                 transversals: Sequence[dict[int, Permutation]],
+                 transversals: Sequence[dict[int, tuple[int, ...]]],
                  perms: Optional[frozenset[Permutation]] = None):
         self.n = n
         self.base = tuple(base)
@@ -190,8 +193,8 @@ class AutSet:
     @property
     def generators(self) -> tuple[Permutation, ...]:
         """The non-identity coset representatives, level by level."""
-        identity = Permutation.identity(self.n)
-        return tuple(t for reps in self.transversals
+        identity = tuple(range(self.n))
+        return tuple(Permutation(t) for reps in self.transversals
                      for _, t in sorted(reps.items()) if t != identity)
 
     @property
@@ -200,7 +203,7 @@ class AutSet:
             members = [tuple(range(self.n))]
             for reps in reversed(self.transversals):
                 if len(reps) > 1:
-                    members = [tuple(map(t.images.__getitem__, h))
+                    members = [tuple(map(t.__getitem__, h))
                                for t in reps.values() for h in members]
             self._perms = frozenset(map(Permutation, members))
         return self._perms
@@ -249,14 +252,24 @@ def _element_signatures(d: DiTable) -> list[tuple]:
 
 class _IsoSearch:
     """The isomorphism search from d1 to d2, two structures of equal size,
-    planned once and then run from any fixed prefix.
+    planned once.
 
     Individualize-and-check backtracking: the elements of d1 take images in
     the order of `base`, those with the fewest candidates first, and each
     element's candidates are the elements of d2 with the same role profile.
-    Each product x*y = p of either table is checked exactly once, at the level
-    where the last of x, y, p gets its image, so a node checks only what it
-    newly decides and a leaf is a full isomorphism.
+    Each cell x, y of d1 is checked exactly once, at the level where the last
+    of x, y, x<|y and x|>y gets its image, against the pair code
+    (x<|y)*n + (x|>y) of d2.  Both products are below n, so the code is
+    collision-free and one comparison checks both tables.  A node checks only
+    what it newly decides and a leaf is a full isomorphism.
+
+    `images` and `used` are the search state, shared by every search run on
+    this plan: the image of each element decided so far, and which elements
+    of d2 those images take.  `extend(k, choices)` needs base[:k] decided and
+    passing their checks; it tries the choices for base[k] in order and
+    returns whether one extends to an isomorphism.  On success `images` holds
+    the first one found and `used` marks all of it; on failure `used` is as
+    it was.
     """
 
     def __init__(self, d1: DiTable, d2: DiTable):
@@ -265,66 +278,65 @@ class _IsoSearch:
             raise BoundExceeded(f"isomorphism search limited to n <= {SEARCH_BOUND}, got {n}")
         sig1 = _element_signatures(d1)
         sig2 = sig1 if d2 is d1 else _element_signatures(d2)
-        if sorted(sig1) == sorted(sig2):
-            self.candidates = [[v for v in range(n) if sig2[v] == s] for s in sig1]
+        if d2 is d1 or sorted(sig1) == sorted(sig2):
+            # elements of one profile share one candidate list
+            groups: dict[tuple, list[int]] = {}
+            for v, s in enumerate(sig2):
+                groups.setdefault(s, []).append(v)
+            candidates = [groups[s] for s in sig1]
         else:
-            self.candidates = [[] for _ in range(n)]
-        self.base = sorted(range(n), key=lambda x: len(self.candidates[x]))
+            candidates = [[] for _ in range(n)]
+        self.candidates = candidates
+        base = self.base = sorted(range(n), key=lambda x: len(candidates[x]))
         # level[x]: the position of x in base
         self.level = level = [0] * n
-        for k, x in enumerate(self.base):
+        for k, x in enumerate(base):
             level[x] = k
-        # checks[k]: (target rows, x, y, x*y) for the products decided at level k;
-        # conditional expressions, not max(), since this runs 2n^2 times a plan
-        self.checks: list[list] = [[] for _ in range(n)]
+        # checks[k]: (x, y, x<|y, x|>y) for the cells decided at level k;
+        # conditional expressions, not max(), since this runs n^2 times a plan
+        checks: list[list] = [[] for _ in range(n)]
         cells = [(x, y, lx if lx > ly else ly)
                  for x, lx in enumerate(level) for y, ly in enumerate(level)]
-        for src, dst in ((d1.left, d2.left), (d1.right, d2.right)):
-            rows = dst.rows()
-            for (x, y, k), p in zip(cells, src.entries):
-                lp = level[p]
-                self.checks[k if k > lp else lp].append((rows, x, y, p))
+        for (x, y, k), p, q in zip(cells, d1.left.entries, d1.right.entries):
+            lp, lq = level[p], level[q]
+            if lp > k:
+                k = lp
+            checks[k if k > lq else lq].append((x, y, p, q))
+        codes = [p * n + q for p, q in zip(d2.left.entries, d2.right.entries)]
+        code = [codes[i:i + n] for i in range(0, n * n, n)]
+        self.images = images = [-1] * n
+        self.used = used = [False] * n
 
-    def first(self, prefix: Sequence[int]) -> Optional[Permutation]:
-        """The first isomorphism, in search order, that maps base[k] to
-        prefix[k] for every k < len(prefix); None if there is none."""
-        n, base, candidates, checks = self.n, self.base, self.candidates, self.checks
-        images = [-1] * n
-        used = [False] * n
-        for x, v in zip(base, prefix):
-            if used[v] or v not in candidates[x]:
-                return None
-            images[x] = v
-            used[v] = True
-        for decided in checks[:len(prefix)]:
-            for rows, a, b, p in decided:
-                if rows[images[a]][images[b]] != images[p]:
-                    return None
-
-        def extend(k: int) -> bool:
-            if k == n:
-                return True
-            x = base[k]
-            for v in candidates[x]:
+        def extend(k: int, choices: Sequence[int]) -> bool:
+            x, decided = base[k], checks[k]
+            for v in choices:
                 if used[v]:
                     continue
                 images[x] = v
-                for rows, a, b, p in checks[k]:
-                    if rows[images[a]][images[b]] != images[p]:
+                for a, b, p, q in decided:
+                    if code[images[a]][images[b]] != images[p] * n + images[q]:
                         break
                 else:
                     used[v] = True
-                    if extend(k + 1):
+                    if k + 1 == n or extend(k + 1, candidates[base[k + 1]]):
                         return True
                     used[v] = False
             return False
 
-        return Permutation(tuple(images)) if extend(len(prefix)) else None
+        self.extend = extend
+
+    def first(self) -> Optional[Permutation]:
+        """The first isomorphism in search order, searched from level 0 with
+        nothing decided; None if there is none."""
+        self.used[:] = [False] * self.n
+        if self.extend(0, self.candidates[self.base[0]]):
+            return Permutation(tuple(self.images))
+        return None
 
 
-def _join_orbits(orbit: list[int], g: Permutation) -> None:
+def _join_orbits(orbit: list[int], g: tuple[int, ...]) -> None:
     """Merge the orbit labels of every point and its image under g."""
-    for x, y in enumerate(g.images):
+    for x, y in enumerate(g):
         keep, drop = orbit[x], orbit[y]
         if keep != drop:
             for i, label in enumerate(orbit):
@@ -342,38 +354,48 @@ def automorphisms(structure: Union[OpTable, DiTable]) -> AutSet:
     b_k nor in an orbit known to fail: a generator taking v to w turns a
     member of G_k taking b_k to one of them into one taking b_k to the other,
     so an orbit succeeds or fails as a whole (McKay & Piperno, "Practical
-    graph isomorphism, II", 2014).  The transversal of level k is read off
-    the generators from b_k.  The result equals the full n!-scan of
-    automorphisms_brute (asserted in the tests).  Limited to
-    n <= SEARCH_BOUND."""
+    graph isomorphism, II", 2014).  Each search runs in place on the search
+    state from level k, with base[:k] mapped to itself: the identity passes
+    every check below level k, so that prefix is not checked again.  The
+    transversal of level k is read off the generators from b_k.  The result
+    equals the full n!-scan of automorphisms_brute (asserted in the tests).
+    Limited to n <= SEARCH_BOUND."""
     d = as_ditable(structure)
     _require_dimonoid(d)
     search = _IsoSearch(d, d)
-    n, base = d.n, search.base
-    identity = Permutation.identity(n)
-    gens: list[Permutation] = []
+    n, base, level, candidates = d.n, search.base, search.level, search.candidates
+    images, used, extend = search.images, search.used, search.extend
+    # the identity, all of it decided; level k frees b_k before its searches
+    images[:] = range(n)
+    used[:] = [True] * n
+    identity = tuple(range(n))
+    gens: list[tuple[int, ...]] = []
     orbit = list(range(n))  # orbit label of each point under gens
-    transversals: list[dict[int, Permutation]] = []  # deepest level first
+    transversals: list[dict[int, tuple[int, ...]]] = []  # deepest level first
     for k in reversed(range(n)):
         b = base[k]
+        used[b] = False
         failed: list[int] = []
-        for v in search.candidates[b]:
-            if (search.level[v] < k or orbit[v] == orbit[b]
+        for v in candidates[b]:
+            if (level[v] < k or orbit[v] == orbit[b]
                     or any(orbit[v] == orbit[f] for f in failed)):
                 continue  # v is fixed, reached already, or known to fail
-            g = search.first([*base[:k], v])
-            if g is None:
-                failed.append(v)
-            else:
+            if extend(k, (v,)):
+                g = tuple(images)
                 gens.append(g)
                 _join_orbits(orbit, g)
+                # g maps base[k:] onto itself, so those are the images it took
+                for x in base[k:]:
+                    used[x] = False
+            else:
+                failed.append(v)
         reps = {b: identity}
         reached = [b]
         for u in reached:
             for g in gens:
-                w = g.images[u]
+                w = g[u]
                 if w not in reps:
-                    reps[w] = g.compose(reps[u])
+                    reps[w] = tuple(map(g.__getitem__, reps[u]))
                     reached.append(w)
         transversals.append(reps)
     return AutSet(n, base, transversals[::-1])
@@ -381,7 +403,8 @@ def automorphisms(structure: Union[OpTable, DiTable]) -> AutSet:
 
 def automorphisms_brute(structure: Union[OpTable, DiTable]) -> AutSet:
     """Reference implementation: filter all n! permutations.  The chain is
-    read off the listed members along the base 0..n-1."""
+    read off the listed members along the base 0..n-1, its representatives
+    held as image tuples as automorphisms holds them."""
     d = as_ditable(structure)
     _require_dimonoid(d)
     n = d.n
@@ -391,10 +414,10 @@ def automorphisms_brute(structure: Union[OpTable, DiTable]) -> AutSet:
     members = sorted(perms)
     transversals = []
     for k in range(n):
-        reps: dict[int, Permutation] = {}
+        reps: dict[int, tuple[int, ...]] = {}
         for p in members:
             if p.images[:k] == tuple(range(k)):
-                reps.setdefault(p.images[k], p)
+                reps.setdefault(p.images[k], p.images)
         transversals.append(reps)
     return AutSet(n, range(n), transversals, perms)
 
@@ -432,20 +455,25 @@ def matches_symmetric_product(auts: AutSet, spec: SymmetricProductSpec) -> bool:
     its order equals the product of the block factorials and each of its
     generators fixes the fixed points and maps each block onto itself.  The
     block-preserving permutations form a group of exactly that order, so a
-    generating set inside it with the same order generates all of it.  A
-    spec that partitions a carrier of another size raises SizeMismatch."""
+    generating set inside it with the same order generates all of it.  Each
+    point gets one part label, its own for a fixed point and its block's
+    otherwise; a permutation keeps every label exactly when it fixes the
+    fixed points and maps each block into, hence onto, itself.  A spec that
+    partitions a carrier of another size raises SizeMismatch."""
     n = spec.carrier_size()
     if n != auts.n:
         raise SizeMismatch(f"spec partitions 0..{n - 1}, the structure has {auts.n} elements")
     if auts.order != spec.order:
         return False
-    for p in auts.generators:
-        img = p.images
-        if any(img[f] != f for f in spec.fixed):
-            return False
-        if any(frozenset(img[b] for b in block) != block for block in spec.blocks):
-            return False
-    return True
+    # blocks take the labels n, n+1, ...; a fixed point f keeps the label f
+    label = list(range(n))
+    for i, block in enumerate(spec.blocks, n):
+        for x in block:
+            label[x] = i
+    # the generators are the coset representatives other than the identity,
+    # which keeps every label
+    return all(list(map(label.__getitem__, t)) == label
+               for reps in auts.transversals for t in reps.values())
 
 
 # a relabeling p as (the images p(x) as a bytes.translate table, the gather of
@@ -527,4 +555,4 @@ def are_isomorphic(d1: Union[OpTable, DiTable], d2: Union[OpTable, DiTable]) -> 
     d2 = as_ditable(d2)
     if d1.n != d2.n:
         return False
-    return _IsoSearch(d1, d2).first(()) is not None
+    return _IsoSearch(d1, d2).first() is not None

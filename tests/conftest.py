@@ -23,3 +23,9 @@ def catalogs():
 def order_four():
     """Every labeled dimonoid of order 4, by the backtracking route."""
     return list(enumerate_dimonoids_backtracking(4, max_n=4))
+
+
+@pytest.fixture(scope="session")
+def classes_four():
+    """The 734 isomorphism-class representatives of order 4."""
+    return [e.canonical for e in classify(4, max_n=4)]

@@ -7,6 +7,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import dimonoids
 from dimonoids import (
     OpTable,
@@ -227,6 +229,32 @@ def test_aut_table_format_does_not_list_the_group(capsys, monkeypatch):
     code, out, _ = run(capsys, "aut", "--json", doc, "--format", "table",
                        "--spec", "fixed=;blocks=0,1,2,3,4,5,6,7")
     assert (code, out) == (0, "order: 40320\nmatches_spec: True\n")
+
+
+def test_json_output_renders_no_grid(capsys, monkeypatch):
+    import dimonoids.cli as cli
+
+    def rendered(table):
+        raise AssertionError("a text grid was rendered for JSON output")
+
+    monkeypatch.setattr(cli, "_render_ditable", rendered)
+    monkeypatch.setattr(cli, "_render_optable", rendered)
+    d = pair(left_zero_sg(2), right_zero_sg(2))
+    code, out, _ = run(capsys, "verify", "--json", json.dumps(d.to_json()))
+    assert code == 0 and json.loads(out) == d.axiom_status.to_json()
+    flipped = naive_flip(d)
+    code, out, _ = run(capsys, "verify", "--json", json.dumps(flipped.to_json()))
+    assert code == 1 and json.loads(out) == flipped.axiom_status.to_json()
+    code, out, _ = run(capsys, "dual", "--json", json.dumps(d.to_json()))
+    assert code == 0 and json.loads(out) == d.to_json()
+    code, out, _ = run(capsys, "build", "--family", "LO", "--n", "3")
+    assert code == 0 and json.loads(out) == left_zero_sg(3).to_json()
+    # the table format still renders its grid
+    for argv in (("verify", "--json", json.dumps(d.to_json())),
+                 ("dual", "--json", json.dumps(d.to_json())),
+                 ("build", "--family", "LO", "--n", "3")):
+        with pytest.raises(AssertionError, match="text grid"):
+            main([*argv, "--format", "table"])
 
 
 def test_props_on_non_dimonoid_is_input_error(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from functools import lru_cache
@@ -24,7 +26,6 @@ from dimonoids import (
     canonical_key,
     cases,
     check_morphism,
-    classify,
     di_flags,
     dual_dimonoid,
     enumerate_dimonoids_backtracking,
@@ -186,11 +187,10 @@ def _chain_matches_brute_force(d):
     return chain.order == len(brute.perms) and chain.perms == brute.perms
 
 
-def test_chain_equals_brute_force_on_class_representatives(catalogs):
+def test_chain_equals_brute_force_on_class_representatives(catalogs, classes_four):
     reps = [e.canonical for n in (1, 2, 3) for e in catalogs[n]]
-    four = [e.canonical for e in classify(4, max_n=4)]
-    assert (len(reps), len(four)) == (61, 734)
-    for d in reps + four:
+    assert (len(reps), len(classes_four)) == (61, 734)
+    for d in reps + classes_four:
         assert _chain_matches_brute_force(d), d.to_json()
 
 
@@ -199,6 +199,41 @@ def test_chain_equals_brute_force_on_construction_cases():
     assert len(checked) > 500
     for case in checked:
         assert _chain_matches_brute_force(case.dimonoid), case.describe()
+
+
+def test_transversal_representatives_fix_the_base_prefix(classes_four):
+    # level k's representative for v fixes b_0..b_{k-1}, takes b_k to v and
+    # is an automorphism
+    structures = [case.dimonoid for case in all_cases(6)] + classes_four
+    assert len(structures) > 2000
+    for d in structures:
+        auts = automorphisms(d)
+        for k, reps in enumerate(auts.transversals):
+            prefix = auts.base[:k]
+            for v, t in reps.items():
+                assert [t[b] for b in prefix] == list(prefix), d.to_json()
+                assert t[auts.base[k]] == v, d.to_json()
+                assert check_morphism(d, d, t).isomorphism, d.to_json()
+
+
+# SHA-256 over every construction case of all_cases(5) that has an aut_spec,
+# one line per case: the AutSet document, and the image lists of its
+# generators, which depend on the order the search tries images in
+AUT_DIGESTS = {
+    "to_json": "2379affc5233ede26869a42b4a0300f6f203d564b7f48305feeea092c96cec00",
+    "generators": "4a0178a0b1839a0bf8378adddb9d20686a1df911e2df807172008c83bfdb9cba",
+}
+
+
+def test_automorphism_documents_and_generators_are_pinned():
+    docs, gens = hashlib.sha256(), hashlib.sha256()
+    checked = [case for case in all_cases(5) if case.aut_spec is not None]
+    assert len(checked) == 630
+    for case in checked:
+        auts = automorphisms(case.dimonoid)
+        docs.update(json.dumps(auts.to_json(), sort_keys=True).encode() + b"\n")
+        gens.update(json.dumps([list(g.images) for g in auts.generators]).encode() + b"\n")
+    assert {"to_json": docs.hexdigest(), "generators": gens.hexdigest()} == AUT_DIGESTS
 
 
 def _closure(n, gens):
@@ -366,6 +401,30 @@ def test_are_isomorphic_matches_brute_force_scan(catalogs, order_four):
                     (a.left, relabel_table(b.left, random_perm(n)))]
     answers = [are_isomorphic(a, b) for a, b in samples]
     assert answers == [brute_isomorphic(as_ditable(a), as_ditable(b)) for a, b in samples]
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_pair_code_keeps_the_two_tables_apart(catalogs, order_four):
+    # the search checks each cell once, against the pair code of both
+    # products; swapping the two tables, or changing one of them, must be
+    # told apart exactly as the scan of S_n tells them
+    rng = random.Random(24)
+    dimonoids = [e.canonical for n in (1, 2, 3) for e in catalogs[n]]
+    dimonoids += rng.sample(order_four, 100)
+    samples = [(d, pair(d.right, d.left)) for d in dimonoids]
+    for n in (1, 2, 3, 4):
+        perms = list(all_permutations(n))
+        for _ in range(40):
+            # tables that need not be associative
+            a, b = (make_table(n, [rng.randrange(n) for _ in range(n * n)]) for _ in range(2))
+            p = rng.choice(perms)
+            samples += [(pair(a, b), pair(b, a)),
+                        (pair(a, b), pair(a, relabel_table(b, p))),
+                        (pair(a, b), pair(relabel_table(a, p), b)),
+                        (pair(a, a), pair(a, relabel_table(a, p))),
+                        (pair(a, b), relabel_dimonoid(pair(a, b), p))]
+    answers = [are_isomorphic(a, b) for a, b in samples]
+    assert answers == [brute_isomorphic(a, b) for a, b in samples]
     assert 0 < sum(answers) < len(answers)
 
 

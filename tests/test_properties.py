@@ -12,6 +12,7 @@ from dimonoids import (
     Permutation,
     adjoin_zero,
     all_cases,
+    as_ditable,
     automorphisms,
     axioms_ok,
     canonical_key,
@@ -29,6 +30,7 @@ from dimonoids import (
     relabel_table,
     semigroup_class,
 )
+from dimonoids import dimonoid
 from dimonoids.catalog import _right_tables
 from dimonoids.morphisms import _element_signatures
 from dimonoids.tables import (
@@ -233,6 +235,34 @@ def test_witnesses_deep_in_the_scan_equal_cellwise_reference():
         witnesses += report
     # witnesses turn up in every block of the scan, not only in its first cells
     assert {w[0] for w in witnesses if w is not None} == set(range(7))
+
+
+def test_a_bare_table_runs_the_kernel_once(monkeypatch):
+    # a bare table is the trivial dimonoid on it: its five axioms are one
+    # identity, computed once and reported in every field
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = dimonoid.assoc_witness
+    monkeypatch.setattr(dimonoid, "assoc_witness", counted)
+    rnd = random.Random(5)
+    tables = sorted({t for _, t in family_sweep(4)})
+    tables += [_mutated(t, rnd) for t in tables]
+    assert any(is_associative(t) is not None for t in tables)
+    for t in tables:
+        calls.clear()
+        report = check_axioms(as_ditable(t))
+        assert len(calls) == 1
+        assert tuple(report) == _reference_report(t, t)
+        assert axioms_ok(t, t) == report.all_ok
+    # two different tables still run all five
+    left, right = lob(3, 0, 1), _mutated(lob(3, 0, 1), rnd)
+    calls.clear()
+    assert tuple(check_axioms(pair(left, right))) == _reference_report(left, right)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("n", [256, 257])
