@@ -165,17 +165,22 @@ def _parse_spec(text: str) -> SymmetricProductSpec:
 
     fixed: frozenset[int] = frozenset()
     blocks: list[frozenset[int]] = []
+    named: set[str] = set()
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         key, _, value = part.partition("=")
-        if key.strip() == "fixed":
-            fixed = _parse_index_set(value)
-        elif key.strip() == "blocks":
-            blocks = [_parse_index_set(b) for b in value.split("|") if b.strip()]
-        else:
+        key = key.strip()
+        if key not in ("fixed", "blocks"):
             raise DimonoidError(f"bad spec fragment {part!r}")
+        if key in named:
+            raise DimonoidError(f"spec names the part {key!r} twice")
+        named.add(key)
+        if key == "fixed":
+            fixed = _parse_index_set(value)
+        else:
+            blocks = [_parse_index_set(b) for b in value.split("|") if b.strip()]
     return SymmetricProductSpec.of(fixed, blocks)
 
 
@@ -237,7 +242,7 @@ def _cmd_aut(args) -> int:
     d = _load_structure(args.file, args.inline)
     auts = automorphisms(d)
     result = {"order": auts.order}
-    if args.spec:
+    if args.spec is not None:
         result["matches_spec"] = matches_symmetric_product(auts, _parse_spec(args.spec))
     if args.format == "json":
         # only the JSON document lists the members of the group

@@ -9,7 +9,8 @@ are_isomorphic runs it once from the first level.  automorphisms runs it in
 place once per orbit of each level of a stabilizer chain, with the levels
 above mapped to themselves, and returns the group as an AutSet: one coset
 representative per orbit point and level, the order as the product of the
-transversal sizes, and the member set expanded only when asked for.
+transversal sizes, and the members expanded from the chain into one sorted
+list only when asked for.
 matches_symmetric_product checks the order and the representatives, never
 the members.
 
@@ -167,12 +168,18 @@ class AutSet:
     in G_k.  Every member is exactly one product t_0 . t_1 . ... . t_{n-1} of
     representatives, one per level, so the order is the product of the
     transversal sizes and the non-identity representatives generate the
-    group.  The member set `perms` is expanded from those products on first
-    access; iteration is in sorted order, so downstream output is
-    deterministic.
+    group.
+
+    The members are listed only when a reader needs them: iteration,
+    `perms`, membership, hashing, `to_json`, and equality of two groups of
+    the same n and order.  The first such reader expands them once from the
+    chain into one sorted list of image tuples, which every reader then
+    shares; iteration follows that list, so downstream output is
+    deterministic.  The order, the generators and matches_symmetric_product
+    read only the chain.
     """
 
-    __slots__ = ("n", "base", "transversals", "_perms")
+    __slots__ = ("n", "base", "transversals", "_members", "_perms")
 
     def __init__(self, n: int, base: Sequence[int],
                  transversals: Sequence[dict[int, tuple[int, ...]]],
@@ -180,8 +187,23 @@ class AutSet:
         self.n = n
         self.base = tuple(base)
         self.transversals = tuple(transversals)
-        # the member set, expanded on first access unless already listed
-        self._perms = perms
+        # the sorted image tuples of the members, expanded from the chain on
+        # first use unless already listed
+        self._members = None if perms is None else sorted(p.images for p in perms)
+        self._perms: Optional[frozenset[Permutation]] = None
+
+    def _member_list(self) -> list[tuple[int, ...]]:
+        if self._members is None:
+            members = [tuple(range(self.n))]
+            # level by level from the deepest, each representative t after
+            # each member h of the levels below: itemgetter(*h)(t) is t . h,
+            # a tuple since n >= 2 wherever a level has two representatives
+            for reps in reversed(self.transversals):
+                if len(reps) > 1:
+                    members = [itemgetter(*h)(t) for t in reps.values() for h in members]
+            members.sort()
+            self._members = members
+        return self._members
 
     @property
     def order(self) -> int:
@@ -200,16 +222,11 @@ class AutSet:
     @property
     def perms(self) -> frozenset[Permutation]:
         if self._perms is None:
-            members = [tuple(range(self.n))]
-            for reps in reversed(self.transversals):
-                if len(reps) > 1:
-                    members = [tuple(map(t.__getitem__, h))
-                               for t in reps.values() for h in members]
-            self._perms = frozenset(map(Permutation, members))
+            self._perms = frozenset(self)
         return self._perms
 
     def __iter__(self) -> Iterator[Permutation]:
-        return iter(sorted(self.perms))
+        return map(Permutation, self._member_list())
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.perms
@@ -217,7 +234,10 @@ class AutSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AutSet):
             return NotImplemented
-        return self.n == other.n and self.perms == other.perms
+        # the order is read off the chain, so groups of different orders
+        # compare unequal without listing a member
+        return (self.n == other.n and self.order == other.order
+                and self._member_list() == other._member_list())
 
     def __hash__(self) -> int:
         return hash(self.perms)
@@ -239,7 +259,8 @@ class AutSet:
     def to_json(self) -> dict:
         # wire format: "generators" lists every member, sorted, not the
         # generating set of the property of that name
-        return {"order": self.order, "generators": [p.to_json() for p in self]}
+        return {"order": self.order,
+                "generators": [{"images": m} for m in map(list, self._member_list())]}
 
 
 def _element_signatures(d: DiTable) -> list[tuple]:
@@ -462,7 +483,8 @@ def matches_symmetric_product(auts: AutSet, spec: SymmetricProductSpec) -> bool:
     partitions a carrier of another size raises SizeMismatch."""
     n = spec.carrier_size()
     if n != auts.n:
-        raise SizeMismatch(f"spec partitions 0..{n - 1}, the structure has {auts.n} elements")
+        covered = f"partitions 0..{n - 1}" if n else "covers no element"
+        raise SizeMismatch(f"spec {covered}, the structure has {auts.n} elements")
     if auts.order != spec.order:
         return False
     # blocks take the labels n, n+1, ...; a fixed point f keeps the label f

@@ -18,6 +18,7 @@ from dimonoids import (
     dumps_catalog,
     left_zero_sg,
     lo_arrow_pair,
+    lo_ro_plus_zero,
     naive_flip,
     null_sg,
     pair,
@@ -216,6 +217,39 @@ def test_aut_spec_over_another_carrier_is_input_error_exit_3(capsys):
             assert json.loads(err)["error"]["code"] == error
 
 
+def test_aut_spec_naming_a_part_twice_or_covering_nothing_exits_3(capsys):
+    doc = json.dumps(pair(left_zero_sg(2), right_zero_sg(2)).to_json())
+    for spec, error, message in (
+            ("blocks=0,1;blocks=", "DimonoidError", "'blocks' twice"),
+            ("fixed=;blocks=0,1;blocks=0,1", "DimonoidError", "'blocks' twice"),
+            ("fixed=0;blocks=1; fixed=0", "DimonoidError", "'fixed' twice"),
+            ("fixed=;blocks=", "SizeMismatch", "covers no element"),
+            ("", "SizeMismatch", "covers no element")):
+        for fmt in ("json", "table"):
+            code, out, err = run(capsys, "aut", "--json", doc, "--spec", spec,
+                                 "--format", fmt)
+            assert code == 3 and out == ""
+            err = json.loads(err)["error"]
+            assert err["code"] == error and message in err["message"], spec
+
+
+# SHA-256 of the `aut --json` stdout of two groups at the search bound
+AUT_STDOUT_DIGESTS = {
+    "lo_ro_plus_zero(7)": "ca13fb930031aec7571aecb97ca77f6480b33868c4339eec159c8bbe260c1543",
+    "left_zero_sg(8)": "c14e8d42f4e43aa2748350db082ed9123ca9514ed77de127a5a0a8a427e7ca59",
+}
+
+
+def test_aut_listing_at_the_search_bound_is_pinned(capsys):
+    digests = {}
+    for name, d in (("lo_ro_plus_zero(7)", lo_ro_plus_zero(7)),
+                    ("left_zero_sg(8)", left_zero_sg(8))):
+        code, out, _ = run(capsys, "aut", "--json", json.dumps(d.to_json()))
+        assert code == 0
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == AUT_STDOUT_DIGESTS
+
+
 def test_aut_table_format_does_not_list_the_group(capsys, monkeypatch):
     from dimonoids.morphisms import AutSet
 
@@ -223,6 +257,7 @@ def test_aut_table_format_does_not_list_the_group(capsys, monkeypatch):
         raise AssertionError("the member set was expanded")
 
     monkeypatch.setattr(AutSet, "perms", property(listed))
+    monkeypatch.setattr(AutSet, "_member_list", listed)
     doc = json.dumps(left_zero_sg(8).to_json())
     code, out, _ = run(capsys, "aut", "--json", doc, "--format", "table")
     assert (code, out) == (0, "order: 40320\n")

@@ -183,8 +183,15 @@ def test_pruned_search_equals_brute_force(catalogs):
 
 
 def _chain_matches_brute_force(d):
+    """The chain's order and every listing of its members (iteration, the
+    member set sorted, the JSON document) agree member for member with the
+    sorted n! filter."""
     chain, brute = automorphisms(d), automorphisms_brute(d)
-    return chain.order == len(brute.perms) and chain.perms == brute.perms
+    members = sorted(brute.perms)
+    return (chain.order == len(members) and list(chain) == members
+            and sorted(chain.perms) == members and chain == brute
+            and chain.to_json() == {"order": len(members),
+                                    "generators": [p.to_json() for p in members]})
 
 
 def test_chain_equals_brute_force_on_class_representatives(catalogs, classes_four):
@@ -263,7 +270,22 @@ def test_chain_of_the_full_symmetric_group_is_small():
     assert len(auts.generators) <= 28
     assert matches_symmetric_product(auts, SymmetricProductSpec.of((), [range(8)]))
     # neither the order nor the shape check lists the 40,320 members
-    assert auts._perms is None
+    assert auts._members is None and auts._perms is None
+
+
+def test_groups_of_different_orders_compare_unequal_unlisted():
+    full, fixing_zero = automorphisms(left_zero_sg(8)), automorphisms(lo_ro_plus_zero(7))
+    assert (full.n, fixing_zero.n) == (8, 8)
+    assert (full.order, fixing_zero.order) == (factorial(8), factorial(7))
+    assert full != fixing_zero and fixing_zero != full
+    for auts in (full, fixing_zero):
+        assert auts._members is None and auts._perms is None
+
+
+def test_trivial_group_lists_the_identity():
+    auts = automorphisms(make_table(1, [0]))
+    assert auts.to_json() == {"order": 1, "generators": [{"images": [0]}]}
+    assert list(auts) == [Permutation((0,))] and auts.perms == {Permutation((0,))}
 
 
 def test_autsets_are_groups():
