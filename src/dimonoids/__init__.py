@@ -17,8 +17,7 @@ from importlib import import_module
 _EXPORTS = {
     "catalog": (
         "CatalogEntry", "SuiteReport", "TheoremRecord", "classify", "dumps_catalog",
-        "enumerate_dimonoids", "enumerate_dimonoids_backtracking",
-        "enumerate_semigroups", "enumerate_semigroups_brute", "load_catalog",
+        "enumerate_dimonoids_backtracking", "enumerate_semigroups", "load_catalog",
         "loads_catalog", "run_theorem_suite", "save_catalog",
     ),
     "constructions": (
@@ -45,9 +44,9 @@ _EXPORTS = {
     ),
     "morphisms": (
         "AutSet", "MorphismCheck", "Permutation", "SymmetricProductSpec",
-        "all_permutations", "are_isomorphic", "automorphisms", "automorphisms_brute",
-        "canonical_form", "canonical_key", "check_morphism",
-        "matches_symmetric_product", "relabel_dimonoid", "relabel_table",
+        "are_isomorphic", "automorphisms", "canonical_form", "canonical_key",
+        "check_morphism", "matches_symmetric_product", "relabel_dimonoid",
+        "relabel_table",
     ),
     "tables": (
         "ClassFlags", "OpTable", "RoleReport", "adjoin_zero", "dual_table",

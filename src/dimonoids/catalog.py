@@ -24,7 +24,6 @@ depend only on its order and quotient.
 from __future__ import annotations
 
 import json
-from itertools import product
 from math import factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -301,33 +300,6 @@ def enumerate_semigroups(n: int, max_n: int = SEMIGROUP_ENUM_BOUND) -> Iterator[
     yield from _fill(n, _ASSOCIATIVITY)
 
 
-def enumerate_semigroups_brute(n: int) -> Iterator[OpTable]:
-    """Reference route: generate every n^(n*n) table and filter by
-    associativity.  Only sensible for n <= 3."""
-    check_size(n)
-    if n > 3:
-        raise BoundExceeded("brute-force table filter limited to n <= 3")
-    for entries in product(range(n), repeat=n * n):
-        t = OpTable(n, entries)
-        if is_associative(t) is None:
-            yield t
-
-
-def enumerate_dimonoids(n: int, max_n: int = DIMONOID_ENUM_BOUND) -> Iterator[DiTable]:
-    """All labeled dimonoids of order n: ordered pairs of labeled semigroups
-    filtered through the three pairing axioms.  Deterministic order (left
-    table lexicographic, then right).  The independent cross-check of
-    enumerate_dimonoids_backtracking."""
-    check_size(n)
-    if n > max_n:
-        raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    sgs = list(enumerate_semigroups(n, max_n))
-    for left in sgs:
-        for right in sgs:
-            if axioms_ok(left, right):
-                yield pair(left, right)
-
-
 def _right_tables(left: OpTable, group: Optional[Sequence[Relabeling]] = None
                   ) -> Iterator[OpTable | tuple[OpTable, list[Relabeling]]]:
     """Every right table that makes a dimonoid with the associative table
@@ -348,8 +320,8 @@ def _right_tables(left: OpTable, group: Optional[Sequence[Relabeling]] = None
 def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
                                      ) -> Iterator[DiTable]:
     """All labeled dimonoids of order n, each labeled semigroup on the left
-    with its right tables in lexicographic entry order.  The primary route;
-    yields exactly the sequence of enumerate_dimonoids.
+    with its right tables in lexicographic entry order: exactly the sequence
+    of the pair filter in tests/reference.py.
 
     The labeled left tables are not enumerated: `_fill` with its leader prune
     yields the least relabeled table L0 of each semigroup class, and

@@ -84,11 +84,6 @@ class Permutation(NamedTuple):
         return cls.of(doc["images"])
 
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    for images in _permutations(range(n)):
-        yield Permutation(images)
-
-
 def relabel_table(t: OpTable, p: Permutation) -> OpTable:
     """Transport the table along p: new(p(x), p(y)) = p(old(x, y)).  A
     permutation of another size raises SizeMismatch."""
@@ -182,14 +177,13 @@ class AutSet:
     __slots__ = ("n", "base", "transversals", "_members", "_perms")
 
     def __init__(self, n: int, base: Sequence[int],
-                 transversals: Sequence[dict[int, tuple[int, ...]]],
-                 perms: Optional[frozenset[Permutation]] = None):
+                 transversals: Sequence[dict[int, tuple[int, ...]]]):
         self.n = n
         self.base = tuple(base)
         self.transversals = tuple(transversals)
         # the sorted image tuples of the members, expanded from the chain on
-        # first use unless already listed
-        self._members = None if perms is None else sorted(p.images for p in perms)
+        # first use
+        self._members: Optional[list[tuple[int, ...]]] = None
         self._perms: Optional[frozenset[Permutation]] = None
 
     def _member_list(self) -> list[tuple[int, ...]]:
@@ -244,17 +238,6 @@ class AutSet:
 
     def __repr__(self) -> str:
         return f"AutSet(n={self.n}, order={self.order})"
-
-    def is_group(self) -> bool:
-        """Identity present, closed under composition and inverse."""
-        if not self.perms:
-            return False
-        n = next(iter(self.perms)).n
-        if Permutation.identity(n) not in self.perms:
-            return False
-        return all(p.inverse() in self.perms for p in self.perms) and all(
-            p.compose(q) in self.perms for p in self.perms for q in self.perms
-        )
 
     def to_json(self) -> dict:
         # wire format: "generators" lists every member, sorted, not the
@@ -379,7 +362,7 @@ def automorphisms(structure: Union[OpTable, DiTable]) -> AutSet:
     state from level k, with base[:k] mapped to itself: the identity passes
     every check below level k, so that prefix is not checked again.  The
     transversal of level k is read off the generators from b_k.  The result
-    equals the full n!-scan of automorphisms_brute (asserted in the tests).
+    equals the full n! scan of tests/reference.py (asserted in the tests).
     Limited to n <= SEARCH_BOUND."""
     d = as_ditable(structure)
     _require_dimonoid(d)
@@ -420,27 +403,6 @@ def automorphisms(structure: Union[OpTable, DiTable]) -> AutSet:
                     reached.append(w)
         transversals.append(reps)
     return AutSet(n, base, transversals[::-1])
-
-
-def automorphisms_brute(structure: Union[OpTable, DiTable]) -> AutSet:
-    """Reference implementation: filter all n! permutations.  The chain is
-    read off the listed members along the base 0..n-1, its representatives
-    held as image tuples as automorphisms holds them."""
-    d = as_ditable(structure)
-    _require_dimonoid(d)
-    n = d.n
-    perms = frozenset(
-        p for p in all_permutations(n) if check_morphism(d, d, p).isomorphism
-    )
-    members = sorted(perms)
-    transversals = []
-    for k in range(n):
-        reps: dict[int, tuple[int, ...]] = {}
-        for p in members:
-            if p.images[:k] == tuple(range(k)):
-                reps.setdefault(p.images[k], p.images)
-        transversals.append(reps)
-    return AutSet(n, range(n), transversals, perms)
 
 
 class SymmetricProductSpec(NamedTuple):

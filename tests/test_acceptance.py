@@ -11,7 +11,6 @@ scan that does not use canonical forms.
 import os
 import time
 from collections import Counter
-from itertools import permutations
 from math import factorial
 
 import pytest
@@ -21,16 +20,13 @@ from dimonoids import (
     automorphisms,
     axioms_ok,
     canonical_key,
-    check_morphism,
     classify,
     di_flags,
     dual_dimonoid,
     dual_table,
     dumps_catalog,
-    enumerate_dimonoids,
     enumerate_dimonoids_backtracking,
     enumerate_semigroups,
-    enumerate_semigroups_brute,
     family_sweep,
     halo,
     is_associative,
@@ -47,6 +43,12 @@ from dimonoids import (
     right_zero_sg,
     semigroup_class,
     subsets,
+)
+from reference import (
+    enumerate_dimonoids_by_pairs,
+    enumerate_semigroups_brute,
+    first_failure,
+    isomorphisms_by_scan,
 )
 
 N_MAX = 6
@@ -216,8 +218,7 @@ def test_criterion_06_duality_propositions(catalogs):
                         f"{entry.dual_class_id}")
                 continue
             # second route, without canonical forms: scan all n! permutations
-            isos = [p for p in permutations(range(n))
-                    if check_morphism(d, dual, p).isomorphism]
+            isos = [p.images for p in isomorphisms_by_scan(d, dual)]
             if bool(isos) != (entry.dual_class_id == idx):
                 failures.append(
                     f"n={n} class {idx}: dual class is {entry.dual_class_id} but "
@@ -272,8 +273,8 @@ def test_criterion_08_left_zero_and_null_pairings(semigroups):
             e = t.entries
             for z in rng:
                 cond = (all(e[z * n + u] == z for u in rng)
-                        and all(e[e[x * n + y] * n + w] == e[x * n + z]
-                                for x in rng for y in rng for w in rng))
+                        and first_failure(n, lambda x, y, w: e[e[x * n + y] * n + w]
+                                          == e[x * n + z]) is None)
                 assert axioms_ok(t, null_sg(n, z)) == cond, (t.rows(), z)
     print("criterion 08 PASS: left-zero and null pairing criteria exact "
           "over all labeled semigroups of order <= 3")
@@ -308,12 +309,12 @@ def test_criterion_10_classification_determinism(catalogs):
     assert elapsed < 120.0
 
     for n in (1, 2, 3):
-        count_a = sum(1 for _ in enumerate_dimonoids(n))
+        count_a = sum(1 for _ in enumerate_dimonoids_by_pairs(n))
         count_b = sum(1 for _ in enumerate_dimonoids_backtracking(n))
         assert count_a == count_b
 
     for n in (1, 2):
-        direct = Counter(canonical_key(d) for d in enumerate_dimonoids(n))
+        direct = Counter(canonical_key(d) for d in enumerate_dimonoids_by_pairs(n))
         for entry in catalogs[n]:
             assert entry.labeled_count == direct[canonical_key(entry.canonical)]
     print(f"criterion 10 PASS: byte-identical catalogs across worker counts "

@@ -17,11 +17,8 @@ from dimonoids import (
     SymmetricProductSpec,
     adjoin_zero_di,
     all_cases,
-    all_permutations,
-    as_ditable,
     are_isomorphic,
     automorphisms,
-    automorphisms_brute,
     canonical_form,
     canonical_key,
     cases,
@@ -47,6 +44,12 @@ from dimonoids import (
 )
 from dimonoids import morphisms
 from dimonoids.morphisms import SEARCH_BOUND
+from reference import (
+    all_permutations,
+    isomorphisms_by_scan,
+    reference_key,
+    reference_minimizers,
+)
 
 
 def test_permutation_basics():
@@ -176,20 +179,20 @@ def _assorted_structures(max_n=5):
 
 def test_pruned_search_equals_brute_force(catalogs):
     for d in _assorted_structures():
-        assert automorphisms(d).perms == automorphisms_brute(d).perms
+        assert automorphisms(d).perms == set(isomorphisms_by_scan(d, d))
     for entry in catalogs[3]:
         d = entry.canonical
-        assert automorphisms(d).perms == automorphisms_brute(d).perms
+        assert automorphisms(d).perms == set(isomorphisms_by_scan(d, d))
 
 
 def _chain_matches_brute_force(d):
     """The chain's order and every listing of its members (iteration, the
     member set sorted, the JSON document) agree member for member with the
-    sorted n! filter."""
-    chain, brute = automorphisms(d), automorphisms_brute(d)
-    members = sorted(brute.perms)
+    sorted n! filter, and the chain equals the one searched for the dual
+    dimonoid, which has the same automorphisms."""
+    chain, members = automorphisms(d), list(isomorphisms_by_scan(d, d))
     return (chain.order == len(members) and list(chain) == members
-            and sorted(chain.perms) == members and chain == brute
+            and sorted(chain.perms) == members and chain == automorphisms(dual_dimonoid(d))
             and chain.to_json() == {"order": len(members),
                                     "generators": [p.to_json() for p in members]})
 
@@ -258,6 +261,9 @@ def _closure(n, gens):
 
 
 def test_chain_generators_generate_the_group():
+    # the closure of the generators is a group: it holds the identity and,
+    # finite and closed under composition, every inverse; so is the member
+    # set that equals it
     for d in _assorted_structures():
         auts = automorphisms(d)
         assert Permutation.identity(d.n) not in auts.generators
@@ -282,15 +288,17 @@ def test_groups_of_different_orders_compare_unequal_unlisted():
         assert auts._members is None and auts._perms is None
 
 
+def test_groups_of_one_order_compare_by_their_members():
+    # <(2 3)> and <(0 1)>: the same n and order, different members
+    swap23, swap01 = automorphisms(lob_pair(4, 0, 1)), automorphisms(lob_pair(4, 2, 3))
+    assert (swap23.order, swap01.order) == (2, 2)
+    assert swap23 != swap01 and swap01 != swap23
+
+
 def test_trivial_group_lists_the_identity():
     auts = automorphisms(make_table(1, [0]))
     assert auts.to_json() == {"order": 1, "generators": [{"images": [0]}]}
     assert list(auts) == [Permutation((0,))] and auts.perms == {Permutation((0,))}
-
-
-def test_autsets_are_groups():
-    for d in _assorted_structures(max_n=4):
-        assert automorphisms(d).is_group()
 
 
 def test_autset_json_shape():
@@ -368,7 +376,6 @@ def test_canonical_form_bound():
 
 
 def test_canonical_key_invariant_under_relabeling(catalogs):
-    from dimonoids import all_permutations
     for entry in catalogs[2]:
         d = entry.canonical
         for p in all_permutations(d.n):
@@ -384,11 +391,6 @@ def test_are_isomorphic_examples():
     assert are_isomorphic(lob_pair(7, 0, 1), lob_pair(7, 5, 2))
     # |Aut| is 1!4! against 2!3!
     assert not are_isomorphic(lo_arrow_pair(6, {0, 1}, 0), lo_arrow_pair(6, {0, 1, 2}, 0))
-
-
-def brute_isomorphic(a, b):
-    """are_isomorphic by its definition: some permutation is an isomorphism."""
-    return any(check_morphism(a, b, p).isomorphism for p in all_permutations(a.n))
 
 
 def test_are_isomorphic_matches_brute_force_scan(catalogs, order_four):
@@ -422,7 +424,7 @@ def test_are_isomorphic_matches_brute_force_scan(catalogs, order_four):
         samples += [(a.left, relabel_table(a.left, random_perm(n))),
                     (a.left, relabel_table(b.left, random_perm(n)))]
     answers = [are_isomorphic(a, b) for a, b in samples]
-    assert answers == [brute_isomorphic(as_ditable(a), as_ditable(b)) for a, b in samples]
+    assert answers == [any(isomorphisms_by_scan(a, b)) for a, b in samples]
     assert 0 < sum(answers) < len(answers)
 
 
@@ -446,7 +448,7 @@ def test_pair_code_keeps_the_two_tables_apart(catalogs, order_four):
                         (pair(a, a), pair(a, relabel_table(a, p))),
                         (pair(a, b), relabel_dimonoid(pair(a, b), p))]
     answers = [are_isomorphic(a, b) for a, b in samples]
-    assert answers == [brute_isomorphic(a, b) for a, b in samples]
+    assert answers == [any(isomorphisms_by_scan(a, b)) for a, b in samples]
     assert 0 < sum(answers) < len(answers)
 
 
@@ -508,13 +510,6 @@ def test_construction_cases_pass_their_aut_specs_at_small_sizes():
                         automorphisms(case.dimonoid), case.aut_spec), case.describe()
 
 
-def reference_key(d):
-    """canonical_key by its definition: the least relabeled table pair."""
-    d = as_ditable(d)
-    return min((relabel_table(d.left, p).entries, relabel_table(d.right, p).entries)
-               for p in all_permutations(d.n))
-
-
 def test_canonical_key_matches_reference_up_to_order_three():
     for n in (1, 2, 3):
         for d in enumerate_dimonoids_backtracking(n):
@@ -542,14 +537,6 @@ def test_canonical_key_matches_reference_on_order_four_sample(order_four):
     assert memo.cache_info().misses == len(picked)
     assert [canonical_key(d) for d in sample] == keys
     assert memo.cache_info().misses == len(picked)
-
-
-def reference_minimizers(t):
-    """The least relabeled table and every permutation reaching it, in
-    lexicographic order, by the n! scan."""
-    parts = [(relabel_table(t, p).entries, p) for p in all_permutations(t.n)]
-    least = min(part for part, _ in parts)
-    return least, [p for part, p in parts if part == least]
 
 
 def test_left_minimizers_match_the_scan_of_every_semigroup():
@@ -589,12 +576,6 @@ def test_left_minimizers_evict_within_their_bound(order_four, maxsize, monkeypat
     assert shipped.cache_info().maxsize >= 4549
 
 
-def left_ties(t):
-    """How many relabelings reach the least relabeled table."""
-    parts = [relabel_table(t, p).entries for p in all_permutations(t.n)]
-    return parts.count(min(parts))
-
-
 def test_canonical_key_alternating_left_tables(order_four):
     # switching between left tables must never serve another table's
     # minimizers: take the first left table with each number of left ties
@@ -603,7 +584,7 @@ def test_canonical_key_alternating_left_tables(order_four):
     for left, run in groupby(order_four, key=lambda d: d.left):
         run = list(run)
         if len(run) >= 3:
-            runs.setdefault(left_ties(left), run)
+            runs.setdefault(len(reference_minimizers(left)[1]), run)
     assert sorted(runs) == [1, 2, 4, 6, 24]
     for i in range(max(len(run) for run in runs.values())):
         for run in runs.values():

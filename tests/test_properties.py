@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +37,13 @@ from dimonoids.tables import (
     _role_scan,
     rectangular_witness,
     right_commutative_witness,
+)
+from reference import (
+    reference_assoc,
+    reference_rc,
+    reference_rect,
+    reference_report,
+    reference_roles,
 )
 
 
@@ -101,12 +107,7 @@ def test_commutative_associative_implies_right_commutative(t):
 
 @given(op_tables(max_n=4))
 def test_rectangular_flag_equals_brute_force(t):
-    n = t.n
-    brute = all(
-        t.entry(t.entry(x, y), z) == t.entry(x, z)
-        for x in range(n) for y in range(n) for z in range(n)
-    )
-    assert semigroup_class(t).rectangular == brute
+    assert semigroup_class(t).rectangular == (reference_rect(t) is None)
 
 
 @given(table_pairs())
@@ -147,39 +148,12 @@ def test_axiom_witnesses_are_real_violations(tables):
         assert re_.entry(le.entry(x, y), z) != re_.entry(x, re_.entry(y, z))
 
 
-def _first_failure(n, holds):
-    """The first triple, in lexicographic scan order, where `holds` is false."""
-    return next((w for w in product(range(n), repeat=3) if not holds(*w)), None)
-
-
-def _reference_report(le, re_):
-    """The five axioms evaluated cell by cell, in AxiomReport field order."""
-    n, l, r = le.n, le.entries, re_.entries
-    return (
-        _first_failure(n, lambda x, y, z: l[l[x * n + y] * n + z] == l[x * n + l[y * n + z]]),
-        _first_failure(n, lambda x, y, z: r[r[x * n + y] * n + z] == r[x * n + r[y * n + z]]),
-        _first_failure(n, lambda x, y, z: l[l[x * n + y] * n + z] == l[x * n + r[y * n + z]]),
-        _first_failure(n, lambda x, y, z: l[r[x * n + y] * n + z] == r[x * n + l[y * n + z]]),
-        _first_failure(n, lambda x, y, z: r[l[x * n + y] * n + z] == r[x * n + r[y * n + z]]),
-    )
-
-
-def _reference_rc(t):
-    n, e = t.n, t.entries
-    return _first_failure(n, lambda s, x, y: e[e[s * n + x] * n + y] == e[e[s * n + y] * n + x])
-
-
-def _reference_rect(t):
-    n, e = t.n, t.entries
-    return _first_failure(n, lambda x, y, z: e[e[x * n + y] * n + z] == e[x * n + z])
-
-
 @given(table_pairs(max_n=4))
 def test_axiom_report_equals_cellwise_reference(tables):
     left, right = tables
     report = check_axioms(pair(left, right))
     assert (report.assoc_left, report.assoc_right, report.d1, report.d2,
-            report.d3) == _reference_report(left, right)
+            report.d3) == reference_report(left, right)
     assert axioms_ok(left, right) == report.all_ok
 
 
@@ -190,18 +164,13 @@ def test_commutativity_flags_equal_cellwise_reference(t):
     flags = semigroup_class(t)
     assert flags.commutative == all(t.entry(x, y) == t.entry(y, x)
                                     for x in range(n) for y in range(n))
-    assert flags.right_commutative == (_reference_rc(t) is None)
+    assert flags.right_commutative == (reference_rc(t) is None)
 
 
 @given(op_tables(max_n=4))
 def test_identity_witnesses_equal_cellwise_reference(t):
-    assert right_commutative_witness(t) == _reference_rc(t)
-    assert rectangular_witness(t) == _reference_rect(t)
-
-
-def _reference_assoc(t):
-    n, e = t.n, t.entries
-    return _first_failure(n, lambda x, y, z: e[e[x * n + y] * n + z] == e[x * n + e[y * n + z]])
+    assert right_commutative_witness(t) == reference_rc(t)
+    assert rectangular_witness(t) == reference_rect(t)
 
 
 def _mutated(t, rnd):
@@ -227,10 +196,10 @@ def test_witnesses_deep_in_the_scan_equal_cellwise_reference():
     witnesses = []
     for t in tables:
         witnesses += [is_associative(t), rectangular_witness(t), right_commutative_witness(t)]
-        assert witnesses[-3:] == [_reference_assoc(t), _reference_rect(t), _reference_rc(t)]
+        assert witnesses[-3:] == [reference_assoc(t), reference_rect(t), reference_rc(t)]
     for left, right in pairs:
         report = check_axioms(pair(left, right))
-        assert tuple(report) == _reference_report(left, right)
+        assert tuple(report) == reference_report(left, right)
         assert axioms_ok(left, right) == report.all_ok
         witnesses += report
     # witnesses turn up in every block of the scan, not only in its first cells
@@ -256,12 +225,12 @@ def test_a_bare_table_runs_the_kernel_once(monkeypatch):
         calls.clear()
         report = check_axioms(as_ditable(t))
         assert len(calls) == 1
-        assert tuple(report) == _reference_report(t, t)
+        assert tuple(report) == reference_report(t, t)
         assert axioms_ok(t, t) == report.all_ok
     # two different tables still run all five
     left, right = lob(3, 0, 1), _mutated(lob(3, 0, 1), rnd)
     calls.clear()
-    assert tuple(check_axioms(pair(left, right))) == _reference_report(left, right)
+    assert tuple(check_axioms(pair(left, right))) == reference_report(left, right)
     assert len(calls) == 5
 
 
@@ -273,8 +242,8 @@ def test_witness_at_the_byte_encoding_boundary(n):
     entries = list(t.entries)
     entries[2 * n + n - 1] = 3  # 2 * (n-1) = 3, not 2: the first failure is in block x = 2
     t = OpTable(n, tuple(entries))
-    assert is_associative(t) == _reference_assoc(t) == (2, 0, n - 1)
-    assert rectangular_witness(t) == _reference_rect(t)
+    assert is_associative(t) == reference_assoc(t) == (2, 0, n - 1)
+    assert rectangular_witness(t) == reference_rect(t)
 
 
 def test_large_tables_that_fail_early_stop_at_their_first_block():
@@ -285,10 +254,10 @@ def test_large_tables_that_fail_early_stop_at_their_first_block():
     tracemalloc.start()
     try:
         # x*y = x+1: (0*0)*0 = 2 but 0*(0*0) = 1, and 0*0*0 = 2 but 0*0 = 1
-        assert is_associative(shift) == _reference_assoc(shift) == (0, 0, 0)
-        assert rectangular_witness(shift) == _reference_rect(shift) == (0, 0, 0)
+        assert is_associative(shift) == reference_assoc(shift) == (0, 0, 0)
+        assert rectangular_witness(shift) == reference_rect(shift) == (0, 0, 0)
         # x*y = y: 0*0*1 = 1 but 0*1*0 = 0
-        assert right_commutative_witness(right_zero) == _reference_rc(right_zero) == (0, 0, 1)
+        assert right_commutative_witness(right_zero) == reference_rc(right_zero) == (0, 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -319,21 +288,11 @@ def role_table_pairs(draw, max_n=5):
     return draw(role_tables(n)), draw(role_tables(n))
 
 
-def _reference_roles(t):
-    """Per element, cell by cell: left zero, right zero, left identity, right
-    identity, idempotent."""
-    rng = range(t.n)
-    return [(all(t.entry(x, a) == x for a in rng), all(t.entry(a, x) == x for a in rng),
-             all(t.entry(x, a) == a for a in rng), all(t.entry(a, x) == a for a in rng),
-             t.entry(x, x) == x)
-            for x in rng]
-
-
 @given(role_table_pairs())
 def test_element_roles_equal_cellwise_reference(tables):
     t, u = tables
     rng = range(t.n)
-    ref = _reference_roles(t)
+    ref = reference_roles(t)
     assert _role_scan(t) == ref
     left_zeros, right_zeros, left_ids, right_ids, idempotents = (
         frozenset(x for x in rng if ref[x][k]) for k in range(5))
@@ -349,7 +308,7 @@ def test_element_roles_equal_cellwise_reference(tables):
     assert flags.band == all(t.entry(x, x) == x for x in rng)
     assert flags.left_zero_sg == all(t.entry(x, y) == x for x in rng for y in rng)
     assert flags.right_zero_sg == all(t.entry(x, y) == y for x in rng for y in rng)
-    ref_u = _reference_roles(u)
+    ref_u = reference_roles(u)
     assert _element_signatures(pair(t, u)) == [ref[x] + ref_u[x] for x in rng]
 
 
