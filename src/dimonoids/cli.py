@@ -246,7 +246,7 @@ def _cmd_aut(args) -> int:
         result["matches_spec"] = matches_symmetric_product(auts, _parse_spec(args.spec))
     if args.format == "json":
         # only the JSON document lists the members of the group
-        _emit({**auts.to_json(), **result}, args.format)
+        print(auts.to_json_text(**result))
     else:
         print("\n".join(f"{k}: {v}" for k, v in result.items()))
     return 0 if result.get("matches_spec", True) else 1

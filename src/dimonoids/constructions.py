@@ -189,6 +189,27 @@ def cases(name: str, n: int) -> Iterator[ConstructionCase]:
                                row.build(n, *values), *row.expect(n, D, *values))
 
 
+def _orbit_key(case: ConstructionCase) -> tuple[tuple, tuple[int, ...]]:
+    """The relabeling orbit of a case's parameters, as (key, tau).
+
+    A permutation of D = 0..n-1 moves each parameter, a subset A or a point
+    a, c or zero, to its image, and fixes the elements at indices >= n (an
+    adjoined zero).  Colour each x in D by the parameters in row order:
+    whether x lies in a subset, whether x equals a point.  Two parameter
+    choices at one n lie in one orbit iff their sorted colour lists agree, so
+    the key is n with that list.  tau maps each x in D to its rank in the
+    colour order, ties by x, and every other element to itself: it moves the
+    parameters onto one choice per key, so two cases of one key are moved
+    onto each other by tau_C^-1 . tau_R."""
+    n, *values = case.params.values()
+    parts = [v if isinstance(v, frozenset) else (v,) for v in values]
+    colours = [tuple(x in part for part in parts) for x in range(n)]
+    tau = list(range(case.dimonoid.n))
+    for rank, x in enumerate(sorted(range(n), key=colours.__getitem__)):
+        tau[x] = rank
+    return (n, tuple(sorted(colours))), tuple(tau)
+
+
 def all_cases(n_max: int, names: tuple[str, ...] = CONSTRUCTION_NAMES
               ) -> Iterator[ConstructionCase]:
     """Every case of every requested construction for 1 <= n <= n_max."""

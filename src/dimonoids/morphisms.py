@@ -26,6 +26,7 @@ the same machinery usable for plain semigroups.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import permutations as _permutations
 from math import factorial, prod
@@ -166,12 +167,12 @@ class AutSet:
     group.
 
     The members are listed only when a reader needs them: iteration,
-    `perms`, membership, hashing, `to_json`, and equality of two groups of
-    the same n and order.  The first such reader expands them once from the
-    chain into one sorted list of image tuples, which every reader then
-    shares; iteration follows that list, so downstream output is
-    deterministic.  The order, the generators and matches_symmetric_product
-    read only the chain.
+    `perms`, membership, hashing, `to_json` and `to_json_text`, and equality
+    of two groups of the same n and order.  The first such reader expands
+    them once from the chain into one sorted list of image tuples, which
+    every reader then shares; iteration follows that list, so downstream
+    output is deterministic.  The order, the generators and
+    matches_symmetric_product read only the chain.
     """
 
     __slots__ = ("n", "base", "transversals", "_members", "_perms")
@@ -244,6 +245,19 @@ class AutSet:
         # generating set of the property of that name
         return {"order": self.order,
                 "generators": [{"images": m} for m in map(list, self._member_list())]}
+
+    def to_json_text(self, **fields) -> str:
+        """json.dumps({**self.to_json(), **fields}, indent=2, sort_keys=True),
+        byte for byte, for scalar fields.  The members are rendered by
+        %-formatting one block template, built once for n, per member, not
+        by the pure-Python encoder that indent selects."""
+        member = ('    {\n      "images": [\n        '
+                  + ",\n        ".join(["%d"] * self.n) + "\n      ]\n    }")
+        values = {key: json.dumps(v) for key, v in {"order": self.order, **fields}.items()}
+        values["generators"] = ("[\n" + ",\n".join([member % m for m in self._member_list()])
+                                + "\n  ]")
+        return "{\n" + ",\n".join(f"  {json.dumps(key)}: {values[key]}"
+                                   for key in sorted(values)) + "\n}"
 
 
 def _element_signatures(d: DiTable) -> list[tuple]:

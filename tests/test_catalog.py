@@ -8,6 +8,7 @@ from operator import attrgetter
 import pytest
 
 import dimonoids.catalog as catalog
+import dimonoids.constructions as constructions
 import dimonoids.dimonoid as dimonoid
 import dimonoids.morphisms as morphisms
 from dimonoids import (
@@ -17,6 +18,8 @@ from dimonoids import (
     FormatError,
     OpTable,
     SizeMismatch,
+    SymmetricProductSpec,
+    all_cases,
     are_isomorphic,
     automorphisms,
     axioms_ok,
@@ -36,7 +39,8 @@ from dimonoids import (
     save_catalog,
     semigroup_class,
 )
-from dimonoids.catalog import _fill, _right_tables, check_construction_case
+from dimonoids.catalog import _case_verdicts, _fill, _right_tables, check_construction_case
+from dimonoids.constructions import CONSTRUCTION_NAMES, _orbit_key
 from dimonoids.dimonoid import AXIOM_BINDINGS
 from dimonoids.morphisms import _symmetric_group
 from dimonoids.tables import rectangular_witness
@@ -603,6 +607,127 @@ def test_corrupting_a_table_is_detected():
     case = case._replace(dimonoid=pair(OpTable(3, tuple(left)), case.dimonoid.right))
     message = check_construction_case(case)
     assert message is not None and "axioms fail" in message
+
+
+# the parameter orbits of all_cases(6), one full check each in the suite
+SUITE_N6_ORBITS = 125
+
+
+def test_orbit_verdicts_equal_the_per_case_checks():
+    for name in CONSTRUCTION_NAMES:
+        case_list = list(all_cases(6, (name,)))
+        assert _case_verdicts(case_list) == [check_construction_case(c) for c in case_list]
+
+
+def _counted_checks(monkeypatch) -> list:
+    calls = []
+
+    def counted(case):
+        calls.append(case)
+        return check_construction_case(case)
+
+    monkeypatch.setattr(catalog, "check_construction_case", counted)
+    return calls
+
+
+def test_suite_checks_one_case_per_parameter_orbit_on_every_call(monkeypatch):
+    orbits = {(c.name, _orbit_key(c)[0]) for c in all_cases(6)}
+    assert len(orbits) == SUITE_N6_ORBITS
+    calls = _counted_checks(monkeypatch)
+    # a second call in the same process repeats the work: nothing is carried
+    # from one call to the next
+    for _ in range(2):
+        calls.clear()
+        assert run_theorem_suite(6).passed
+        assert len(calls) == SUITE_N6_ORBITS
+        assert {(c.name, _orbit_key(c)[0]) for c in calls} == orbits
+
+
+def _construction_record(n_max: int, name: str):
+    return {r.id: r for r in run_theorem_suite(n_max).records}[f"construction-{name}"]
+
+
+def _at(n, a, c):
+    # the lob*rob row's hook: mutate only the choice (n, a, c)
+    return lambda n_, a_, c_: (n_, a_, c_) == (n, a, c)
+
+
+def _corrupt_cell(d):
+    left = list(d.left.entries)
+    left[5] = (left[5] + 1) % d.n
+    return pair(OpTable(d.n, tuple(left)), d.right)
+
+
+def _mutated_row(row, hit, mode):
+    if mode == "cell":
+        return row._replace(build=lambda n, a, c: (
+            _corrupt_cell(row.build(n, a, c)) if hit(n, a, c) else row.build(n, a, c)))
+    if mode == "swapped":
+        # a valid dimonoid, but the one of the swapped parameters
+        return row._replace(build=lambda n, a, c: row.build(n, *((c, a) if hit(n, a, c)
+                                                                 else (a, c))))
+    if mode == "halo":
+        return row._replace(expect=lambda n, D, a, c: (
+            (frozenset({c}), *row.expect(n, D, a, c)[1:]) if hit(n, a, c)
+            else row.expect(n, D, a, c)))
+    if mode == "spec":
+        return row._replace(expect=lambda n, D, a, c: (
+            (row.expect(n, D, a, c)[0], SymmetricProductSpec.of({a}, [D - {a}]),
+             *row.expect(n, D, a, c)[2:]) if hit(n, a, c) else row.expect(n, D, a, c)))
+    assert mode == "flag"
+    return row._replace(expect=lambda n, D, a, c: (
+        (*row.expect(n, D, a, c)[:2], False, *row.expect(n, D, a, c)[3:])
+        if hit(n, a, c) else row.expect(n, D, a, c)))
+
+
+@pytest.mark.parametrize("mode", ["cell", "swapped", "halo", "spec", "flag"])
+def test_a_fault_off_the_orbit_leader_is_reported_as_the_per_case_check_does(
+        monkeypatch, mode):
+    name = "lob*rob"
+    monkeypatch.setitem(constructions._ROWS, name,
+                        _mutated_row(constructions._ROWS[name], _at(4, 2, 1), mode))
+    case_list = list(cases(name, 4))
+    # every distinct pair is in one orbit, led by (0, 1), not by (2, 1)
+    assert len({_orbit_key(c)[0] for c in case_list}) == 1
+    assert (case_list[0].params["a"], case_list[0].params["c"]) == (0, 1)
+    expected = [check_construction_case(c) for c in case_list]
+    failed = [m for m in expected if m is not None]
+    assert len(failed) == 1 and failed[0].startswith("lob*rob(n=4, a=2, c=1): ")
+    assert _case_verdicts(case_list) == expected
+    record = _construction_record(4, name)
+    assert not record.passed and record.counterexample == failed[0]
+
+
+def test_a_failing_orbit_leader_sends_its_whole_orbit_to_the_full_check(monkeypatch):
+    name = "lob*rob"
+    monkeypatch.setitem(constructions._ROWS, name,
+                        _mutated_row(constructions._ROWS[name], _at(4, 0, 1), "cell"))
+    case_list = list(cases(name, 4))
+    expected = [check_construction_case(c) for c in case_list]
+    assert expected[0] is not None and expected[1:] == [None] * (len(case_list) - 1)
+    calls = _counted_checks(monkeypatch)
+    assert _case_verdicts(case_list) == expected
+    assert [c.params for c in calls] == [c.params for c in case_list]
+    record = _construction_record(4, name)
+    assert not record.passed and record.counterexample == expected[0]
+
+
+def test_pairing_records_read_one_semigroup_per_class(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the labeled semigroup stream was read")
+
+    visited = []
+
+    def counted(t):
+        visited.append(t.n)
+        return rectangular_witness(t)
+
+    monkeypatch.setattr(catalog, "enumerate_semigroups", refuse)
+    monkeypatch.setattr(catalog, "rectangular_witness", counted)
+    records = catalog._pairing_records(3)
+    assert [r.passed for r in records] == [True] * 3
+    # the semigroup classes of orders 1, 2 and 3 (A027851)
+    assert Counter(visited) == {1: 1, 2: 5, 3: 24}
 
 
 def test_rc_pairing_iff_over_all_order_three(semigroups):

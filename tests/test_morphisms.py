@@ -307,6 +307,23 @@ def test_autset_json_shape():
     assert doc["generators"][0] == {"images": [0, 1]}
 
 
+def test_json_text_equals_the_indented_encoder():
+    # groups on 1..8 points: the full symmetric groups up to 7!, and the
+    # groups of lob_pair, trivial at n = 2 and 3, S_6 at n = 8
+    structures = [left_zero_sg(n) for n in range(1, 8)]
+    structures += [lob_pair(n, 0, 1) for n in range(2, 9)]
+    orders = []
+    for d in structures:
+        auts = automorphisms(d)
+        orders.append(auts.order)
+        for fields in ({}, {"order": auts.order},
+                       {"order": auts.order, "matches_spec": True},
+                       {"order": auts.order, "matches_spec": False}):
+            assert auts.to_json_text(**fields) == json.dumps(
+                {**auts.to_json(), **fields}, indent=2, sort_keys=True), (d.n, fields)
+    assert orders == [1, 2, 6, 24, 120, 720, 5040, 1, 1, 2, 6, 24, 120, 720]
+
+
 def test_matches_symmetric_product_examples():
     auts = automorphisms(lob_pair(5, 0, 1))
     assert matches_symmetric_product(
