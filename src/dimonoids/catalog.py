@@ -9,13 +9,15 @@ keeps the bindings, its lex-leader prune yields exactly the least table of
 each orbit (orderly generation), together with its stabilizer: the
 relabelings the prune found still tied with it.  Under S_n and associativity
 these are the least relabeled left table L0 of each semigroup class and its
-automorphisms.  The labeled dimonoid stream expands each leader into the
-labeled left tables of its class by relabeling it by every member of S_n,
-fills the right tables once per class, for the leader, and relabels them
-along with it.  `classify` never builds the labeled stream: it fills the
-right tables of each leader under the prune with Aut(L0), so each one is the
-right table of a class key, and reads the class's automorphism order and
-labeled count off the ties carried to it.  Enumeration is
+automorphisms.  Both labeled streams expand each leader into the labeled
+tables of its class by relabeling it by every member of S_n, and hold all
+labeled tables of order n, sorted, before their first yield (183,732 at
+order 5).  The semigroup stream yields them; the dimonoid stream takes them
+as left tables, fills the right tables once per class, for the leader, and
+relabels them along with it.  `classify` never builds a labeled stream: it
+fills the right tables of each leader under the prune with Aut(L0), so each
+one is the right table of a class key, and reads the class's automorphism
+order and labeled count off the ties carried to it.  Enumeration is
 deterministic: tables are emitted in lexicographic order of their entry
 tuples, and catalogs are sorted by canonical form, so a catalog's bytes
 depend only on its order and quotient.
@@ -283,22 +285,51 @@ def _fill(n: int, bindings: list[tuple], group: Optional[Sequence[Relabeling]] =
     yield from fill(0)
 
 
+def _labeled_semigroups(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Relabeling]]:
+    """Every labeled associative table T on 0..n-1, exactly once, in
+    lexicographic entry order, as (T, the lex leader L0 of its class, the
+    first relabeling p of _symmetric_group(n) with p(L0) = T).
+
+    `_fill` with its leader prune under S_n yields the least relabeled table
+    L0 of each semigroup class, and relabeling L0 by every member of S_n gives
+    every labeled table of its class; the classes' tables are disjoint.  All
+    of them are built and sorted before the first yield, each as one bytes
+    key: its entries, then the index of (L0, p) among all leader and
+    relabeling pairs in decimal, which the sort never reaches since no two
+    tables are equal.  At order 5 a key takes about a quarter of the memory
+    of an entry tuple; each becomes one as it is yielded.
+    """
+    relabelings = _symmetric_group(n)
+    leaders = [t.entries for t, _ in _fill(n, _ASSOCIATIVITY, relabelings[1:])]
+    fact = len(relabelings)
+    made = []
+    for i, least in enumerate(leaders):
+        source = bytes(least)
+        orbit: dict[bytes, int] = {}
+        for k, (table, cells) in enumerate(relabelings):
+            orbit.setdefault(bytes(cells(source.translate(table))), i * fact + k)
+        made += [entries + b"%d" % code for entries, code in orbit.items()]
+    made.sort()
+    for key in made:
+        i, k = divmod(int(key[n * n:]), fact)
+        yield tuple(key[:n * n]), leaders[i], relabelings[k]
+
+
 def enumerate_semigroups(n: int, max_n: int = SEMIGROUP_ENUM_BOUND) -> Iterator[OpTable]:
     """All labeled associative tables on 0..n-1, exactly once each, in
-    lexicographic entry order: `_fill` with the one associativity binding,
-    the filled table in all four places.
+    lexicographic entry order: the lex leaders of `_fill` under S_n, one per
+    semigroup class, each relabeled by every member of S_n (see
+    `_labeled_semigroups`, which the dimonoid stream reads too).
 
-    Every instance is tested as soon as its cells are set, and an instance
-    with one unset outer cell forces it, so the search never expands a prefix
-    that already violates associativity.  This is what makes n = 4 (3492
-    tables out of 4^16 raw ones) take a fraction of a second; n = 5 (183,732
-    tables) is reachable with max_n=5.  A generator: the size checks run on
-    first iteration.
+    All labeled tables of order n are held before the first yield: 3,492 at
+    n = 4, and 183,732 at n = 5, which is reachable with max_n=5.  A
+    generator: the size checks run on first iteration.
     """
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"semigroup enumeration limited to n <= {max_n}")
-    yield from _fill(n, _ASSOCIATIVITY)
+    for entries, _, _ in _labeled_semigroups(n):
+        yield OpTable(n, entries)
 
 
 def _right_tables(left: OpTable, group: Optional[Sequence[Relabeling]] = None
@@ -324,12 +355,10 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     with its right tables in lexicographic entry order: exactly the sequence
     of the pair filter in tests/reference.py.
 
-    The labeled left tables are not enumerated: `_fill` with its leader prune
-    yields the least relabeled table L0 of each semigroup class, and
-    relabeling L0 by every member of S_n gives every labeled table T of its
-    class, each kept once with the first relabeling p that made it, so
-    p(L0) = T.  Sorted, they are the labeled semigroups in lexicographic
-    order, all built before the first yield.
+    The labeled left tables T come from `_labeled_semigroups`, as
+    `enumerate_semigroups` does, without calling it: each with the lex leader
+    L0 of its class and the first relabeling p of S_n with p(L0) = T, all
+    built before the first yield.
 
     A relabeling p is an isomorphism from (L0, R) to (p(L0), p(R)), so the
     right tables of T are those of L0 relabeled by p.  They are filled (see
@@ -340,16 +369,8 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    lefts: dict[tuple[int, ...], tuple[tuple[int, ...], Relabeling]] = {}
-    relabelings = _symmetric_group(n)
-    for leader, _ in _fill(n, _ASSOCIATIVITY, relabelings[1:]):
-        least = leader.entries
-        source = bytes(least)
-        for p in relabelings:
-            table, cells = p
-            lefts.setdefault(cells(source.translate(table)), (least, p))
     filled: dict[tuple[int, ...], list[bytes]] = {}
-    for entries, (least, (table, cells)) in sorted(lefts.items()):
+    for entries, least, (table, cells) in _labeled_semigroups(n):
         rights = filled.get(least)
         if rights is None:
             rights = filled[least] = [bytes(r.entries)

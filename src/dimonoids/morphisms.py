@@ -133,10 +133,13 @@ def check_morphism(src: Union[OpTable, DiTable], dst: Union[OpTable, DiTable],
         images = tuple(mapping)
         if len(images) != src.n:
             raise SizeMismatch(f"map must be total on 0..{src.n - 1}")
-    for v in images:
-        _check_index(v, dst.n, "image")
-
     n, m = src.n, dst.n
+    for v in images:
+        # inline for plain ints in range; _check_index words the error for
+        # the first bad image and passes int subclasses other than bool
+        if type(v) is not int or not 0 <= v < m:
+            _check_index(v, m, "image")
+
     sl, sr = src.left.entries, src.right.entries
     dl, dr = dst.left.entries, dst.right.entries
     hom = True

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from collections import Counter
-from itertools import groupby, product
+from itertools import groupby, pairwise, product
 from math import factorial
 from operator import attrgetter
 
@@ -298,10 +298,32 @@ def leaders(n):
 
 
 def test_leaders_are_the_least_left_tables_of_the_stream():
+    # against the unpruned fill, since the stream is built from these leaders
     for n, count in ((1, 1), (2, 5), (3, 24), (4, 188)):
         lead = [t for t, _ in leaders(n)]
-        assert lead == sorted({canonical_key(t)[0] for t in enumerate_semigroups(n)})
+        assert lead == sorted({canonical_key(t)[0] for t in _fill(n, catalog._ASSOCIATIVITY)})
         assert len(lead) == count
+
+
+def test_semigroup_stream_equals_the_unpruned_fill():
+    # the stream relabels the lex leaders; the unpruned fill runs neither the
+    # prune nor the S_n expansion
+    for n in (1, 2, 3, 4):
+        assert list(enumerate_semigroups(n)) == list(_fill(n, catalog._ASSOCIATIVITY))
+
+
+def test_order_five_semigroup_stream():
+    # labeled semigroups of order 5: OEIS A023814; read as it streams, so the
+    # test holds no second copy of the tables
+    seen = Counter()
+
+    def entries():
+        for t in enumerate_semigroups(5, max_n=5):
+            seen[t.n] += 1
+            yield t.entries
+
+    assert all(a < b for a, b in pairwise(entries()))
+    assert seen == {5: 183732}
 
 
 def test_leaders_match_published_semigroup_counts():

@@ -146,6 +146,24 @@ def test_check_morphism_rejects_non_int_images():
     assert check_morphism(d, d, [1, 0, 2]).isomorphism
 
 
+def test_check_morphism_names_the_first_bad_image():
+    d = pair(left_zero_sg(3), left_zero_sg(3))
+    for images, message in (([0, 3, -1], "image 3 outside 0..2"),
+                            ([0, -1, 3], "image -1 outside 0..2"),
+                            ([1, True, 7], "image True outside 0..2"),
+                            ([0, 1, 2.0], "image 2.0 outside 0..2"),
+                            (["a", 1, 2], "image 'a' outside 0..2")):
+        with pytest.raises(IndexOutOfRange) as exc:
+            check_morphism(d, d, images)
+        assert str(exc.value) == message
+
+    # int subclasses other than bool are still taken as their values
+    class Point(int):
+        pass
+
+    assert check_morphism(d, d, [Point(1), Point(0), 2]).isomorphism
+
+
 def test_automorphism_orders_of_named_structures():
     assert automorphisms(lo_ro_plus_zero(3)).order == 6
     assert automorphisms(lo_arrow_pair(4, {0, 1}, 0)).order == 2

@@ -6,8 +6,9 @@ from pathlib import Path
 
 REFERENCE = Path(__file__).with_name("reference.py")
 # the engines the reference routes are checked against
-ENGINES = {"_fill", "_right_tables", "_IsoSearch", "_left_minimizers", "_symmetric_group",
-           "automorphisms", "canonical_key", "enumerate_dimonoids_backtracking"}
+ENGINES = {"_fill", "_labeled_semigroups", "_right_tables", "_IsoSearch", "_left_minimizers",
+           "_symmetric_group", "automorphisms", "canonical_key",
+           "enumerate_dimonoids_backtracking"}
 
 
 def engine_reads(source):
