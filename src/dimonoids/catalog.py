@@ -17,7 +17,14 @@ as left tables, fills the right tables once per class, for the leader, and
 relabels them along with it.  `classify` never builds a labeled stream: it
 fills the right tables of each leader under the prune with Aut(L0), so each
 one is the right table of a class key, and reads the class's automorphism
-order and labeled count off the ties carried to it.  Enumeration is
+order and labeled count off the ties carried to it.
+
+Each process keeps what these depend on and never changes: the leaders of
+each order with their automorphisms, read by both streams, `classify` and
+the pairing records (188 at order 4, 1,915 at order 5), and the unpruned
+right tables of each leader, read by the dimonoid stream (1,000 at order 4,
+71,623 at order 5).  The sorted labeled tables are built again on every
+call, and `classify`'s pruned right fill runs on every call.  Enumeration is
 deterministic: tables are emitted in lexicographic order of their entry
 tuples, and catalogs are sorted by canonical form, so a catalog's bytes
 depend only on its order and quotient.
@@ -26,6 +33,7 @@ depend only on its order and quotient.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -285,26 +293,37 @@ def _fill(n: int, bindings: list[tuple], group: Optional[Sequence[Relabeling]] =
     yield from fill(0)
 
 
-def _labeled_semigroups(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Relabeling]]:
+@lru_cache(maxsize=8)
+def _semigroup_leaders(n: int) -> tuple[tuple[OpTable, tuple[Relabeling, ...]], ...]:
+    """The lex leaders of `_fill` under associativity and S_n, in
+    lexicographic entry order: the least relabeled table L0 of each semigroup
+    class (188 at order 4, 1,915 at order 5), each with Aut(L0) less the
+    identity.  Filled once per order and process; callers check n and their
+    bound before the first read."""
+    fill = _fill(n, _ASSOCIATIVITY, _symmetric_group(n)[1:])
+    return tuple((t, tuple(auts)) for t, auts in fill)
+
+
+def _labeled_semigroups(n: int) -> Iterator[tuple[tuple[int, ...], OpTable, Relabeling]]:
     """Every labeled associative table T on 0..n-1, exactly once, in
     lexicographic entry order, as (T, the lex leader L0 of its class, the
     first relabeling p of _symmetric_group(n) with p(L0) = T).
 
-    `_fill` with its leader prune under S_n yields the least relabeled table
-    L0 of each semigroup class, and relabeling L0 by every member of S_n gives
-    every labeled table of its class; the classes' tables are disjoint.  All
-    of them are built and sorted before the first yield, each as one bytes
-    key: its entries, then the index of (L0, p) among all leader and
-    relabeling pairs in decimal, which the sort never reaches since no two
-    tables are equal.  At order 5 a key takes about a quarter of the memory
-    of an entry tuple; each becomes one as it is yielded.
+    Relabeling each lex leader L0 of `_semigroup_leaders` by every member of
+    S_n gives every labeled table of its class; the classes' tables are
+    disjoint.  All of them are built and sorted before the first yield, each
+    as one bytes key: its entries, then the index of (L0, p) among all leader
+    and relabeling pairs in decimal, which the sort never reaches since no
+    two tables are equal.  At order 5 a key takes about a quarter of the
+    memory of an entry tuple; each becomes one as it is yielded.  The keys
+    are built again on every call, since at order 5 they take about 14 MB.
     """
     relabelings = _symmetric_group(n)
-    leaders = [t.entries for t, _ in _fill(n, _ASSOCIATIVITY, relabelings[1:])]
+    leaders = [t for t, _ in _semigroup_leaders(n)]
     fact = len(relabelings)
     made = []
     for i, least in enumerate(leaders):
-        source = bytes(least)
+        source = bytes(least.entries)
         orbit: dict[bytes, int] = {}
         for k, (table, cells) in enumerate(relabelings):
             orbit.setdefault(bytes(cells(source.translate(table))), i * fact + k)
@@ -349,6 +368,15 @@ def _right_tables(left: OpTable, group: Optional[Sequence[Relabeling]] = None
                  group)
 
 
+@lru_cache(maxsize=1 << 12)
+def _leader_right_tables(least: OpTable) -> tuple[bytes, ...]:
+    """The right tables of the lex leader `least`, unpruned, in lexicographic
+    entry order, each as the bytes of its entries: filled once per leader and
+    process for the dimonoid stream (1,000 over the 188 leaders of order 4,
+    71,623 over the 1,915 of order 5, which the bound keeps whole)."""
+    return tuple(bytes(r.entries) for r in _right_tables(least))
+
+
 def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
                                      ) -> Iterator[DiTable]:
     """All labeled dimonoids of order n, each labeled semigroup on the left
@@ -364,20 +392,17 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     right tables of T are those of L0 relabeled by p.  They are filled (see
     `_right_tables`) once per class, for L0, and sorted for each T; any p with
     p(L0) = T gives the same sorted tables, since Aut(L0) maps the right
-    tables of L0 onto themselves.
+    tables of L0 onto themselves.  The right tables of each L0 are kept for
+    the process (`_leader_right_tables`), so a second stream of the same
+    order fills none.
     """
     check_size(n)
     if n > max_n:
         raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
-    filled: dict[tuple[int, ...], list[bytes]] = {}
     for entries, least, (table, cells) in _labeled_semigroups(n):
-        rights = filled.get(least)
-        if rights is None:
-            rights = filled[least] = [bytes(r.entries)
-                                      for r in _right_tables(OpTable(n, least))]
         left = OpTable(n, entries)
         # built in one batch, so that each later next() costs only a pair()
-        images = sorted(cells(r.translate(table)) for r in rights)
+        images = sorted(cells(r.translate(table)) for r in _leader_right_tables(least))
         for right in [OpTable(n, r) for r in images]:
             yield pair(left, right)
 
@@ -464,7 +489,7 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
         raise BoundExceeded(f"classification limited to n <= {max_n}")
     fact = factorial(n)
     found = []  # (L0, R, |Aut(L0, R)|, whether L0 is rectangular), in key order
-    for left, auts in _fill(n, _ASSOCIATIVITY, _symmetric_group(n)[1:]):
+    for left, auts in _semigroup_leaders(n):
         rectangular = rectangular_witness(left) is None
         for right, stab in _right_tables(left, auts):
             found.append((left, right, len(stab) + 1, rectangular))
@@ -843,7 +868,7 @@ def _pairing_records(k_max: int) -> list[TheoremRecord]:
     lnull_failures = []
     for k in range(1, k_max + 1):
         lo_table, nulls = left_zero_sg(k), [null_sg(k, z) for z in range(k)]
-        for t, _ in _fill(k, _ASSOCIATIVITY, _symmetric_group(k)[1:]):
+        for t, _ in _semigroup_leaders(k):
             rc = right_commutative_witness(t) is None
             if axioms_ok(t, dual_table(t)) != rc:
                 rc_failures.append(f"n={k} table {t.rows()}: pairs-with-dual != {rc}")

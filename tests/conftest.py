@@ -1,10 +1,20 @@
 import pytest
 from hypothesis import settings
 
+import dimonoids.catalog as catalog
 from dimonoids import classify, enumerate_dimonoids_backtracking, enumerate_semigroups
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Each test starts without the per-process lex leaders and right tables
+    of `dimonoids.catalog`, so a test that counts fills sees the cold call
+    whatever ran before it."""
+    catalog._semigroup_leaders.cache_clear()
+    catalog._leader_right_tables.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -241,6 +241,46 @@ def test_stream_fills_right_tables_once_per_semigroup_class(monkeypatch):
         assert len(filled) == len(set(filled)) == classes
         # each is the least relabeled left table of its class
         assert all(canonical_key(t)[0] == t.entries for t in filled)
+    # the right tables are kept for the process: a second stream fills none
+    filled.clear()
+    stream = b"".join(bytes(d.left.entries + d.right.entries)
+                      for d in enumerate_dimonoids_backtracking(4, max_n=4))
+    assert filled == []
+    assert hashlib.sha256(stream).hexdigest() == ORDER_FOUR_STREAM_SHA256
+
+
+def test_each_order_fills_its_leaders_once_per_process(monkeypatch):
+    # every reader of the lex leaders shares one fill per order
+    fills = Counter()
+
+    def counted(n, bindings, *args):
+        if bindings is catalog._ASSOCIATIVITY:
+            fills[n] += 1
+        return _fill(n, bindings, *args)
+
+    monkeypatch.setattr(catalog, "_fill", counted)
+    for quotient, classes in (("iso", CLASS_COUNTS),
+                              ("iso_and_duality", CLASS_COUNTS_MOD_DUALITY)):
+        assert len(classify(3, quotient)) == classes[3]
+    assert all(r.passed for r in catalog._pairing_records(3))
+    assert sum(1 for _ in enumerate_semigroups(3)) == SEMIGROUP_COUNTS[3]
+    assert sum(1 for _ in enumerate_dimonoids_backtracking(3)) == DIMONOID_COUNTS[3]
+    assert fills == {1: 1, 2: 1, 3: 1}
+
+
+def test_a_warm_memo_keeps_every_bound():
+    # the order-5 leaders and the order-4 right tables are kept, yet each
+    # caller's bound is still checked before the memo is read
+    assert sum(1 for _ in enumerate_semigroups(5, max_n=5)) == 183732
+    assert sum(1 for _ in enumerate_dimonoids_backtracking(4, max_n=4)) == 15277
+    with pytest.raises(BoundExceeded):
+        classify(5)
+    with pytest.raises(BoundExceeded):
+        classify(4)
+    with pytest.raises(BoundExceeded):
+        next(enumerate_dimonoids_backtracking(4))
+    with pytest.raises(BoundExceeded):
+        next(enumerate_semigroups(5))
 
 
 def test_fill_reads_any_binding_shape(semigroups):
@@ -492,6 +532,23 @@ def test_catalog_bytes_are_pinned():
     for (n, quotient), digest in CATALOG_DIGESTS.items():
         text = dumps_catalog(classify(n, quotient, max_n=4))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
+
+
+def test_warm_memos_give_the_cold_catalogs():
+    # the memos hand out tuples and bytes, which no caller can change, so a
+    # catalog built on warm memos has the bytes of one built cold
+    for quotient in catalog.QUOTIENTS:
+        catalog._semigroup_leaders.cache_clear()
+        cold, warm = (dumps_catalog(classify(4, quotient, max_n=4)) for _ in range(2))
+        assert cold == warm
+        assert hashlib.sha256(warm.encode()).hexdigest() == CATALOG_DIGESTS[4, quotient]
+    leaders = catalog._semigroup_leaders(4)
+    assert type(leaders) is tuple and len(leaders) == 188
+    for left, auts in leaders:
+        assert type(left) is OpTable and type(left.entries) is tuple
+        assert type(auts) is tuple and all(type(p) is tuple for p in auts)
+        rights = catalog._leader_right_tables(left)
+        assert type(rights) is tuple and all(type(r) is bytes for r in rights)
 
 
 def test_classify_calls_canonical_key_once_per_class(monkeypatch):
