@@ -37,7 +37,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .constructions import CONSTRUCTION_NAMES, ConstructionCase, _orbit_key, all_cases
+from .constructions import (CONSTRUCTION_NAMES, ConstructionCase, _normal_form, _orbit_key,
+                            all_cases)
 from .dimonoid import (
     AXIOM_BINDINGS,
     DiFlags,
@@ -60,7 +61,6 @@ from .families import (
 )
 from .morphisms import (
     Relabeling,
-    SymmetricProductSpec,
     _symmetric_group,
     automorphisms,
     canonical_key,
@@ -94,14 +94,15 @@ class _Conflict(Exception):
     """An instance of a binding fails on the cells set so far."""
 
 
-def _fill(n: int, bindings: list[tuple], group: Optional[Sequence[Relabeling]] = None
-          ) -> Iterator[OpTable | tuple[OpTable, list[Relabeling]]]:
+def _fill(n: int, bindings: list[tuple], group: Sequence[Relabeling] = ()
+          ) -> Iterator[tuple[OpTable, list[Relabeling]]]:
     """Every table t on 0..n-1 with (a q b) p c = a r (b s c) for all a, b, c
-    and every binding (p, q, r, s), in lexicographic entry order; with a
-    `group`, the relabelings other than the identity of a group that keeps
-    every binding, only the lex leaders among them, the tables no member of
-    the group makes lexicographically smaller, one per orbit, each as (t, the
-    members of `group` that fix t).
+    and every binding (p, q, r, s), in lexicographic entry order, each as
+    (t, the members of `group` that fix t).  A nonempty `group`, the
+    relabelings other than the identity of a group that keeps every binding,
+    leaves only the lex leaders among them, the tables no member of the
+    group makes lexicographically smaller, one per orbit; the empty group
+    leaves every table, each with an empty list.
 
     Each place of a binding holds a fixed row-major entry tuple, or None for t
     itself.  A binding without a None place reads only fixed tables and is
@@ -237,13 +238,13 @@ def _fill(n: int, bindings: list[tuple], group: Optional[Sequence[Relabeling]] =
             pre[e[j]].pop()
             e[j] = None
 
-    def fill(k: int) -> Iterator[OpTable]:
+    def fill(k: int) -> Iterator[tuple[OpTable, list[Relabeling]]]:
         while k < size and e[k] is not None:
             k += 1
         if k == size:
             table = OpTable(n, tuple(e))  # type: ignore[arg-type]
             # a full table is tied only with the members of the group fixing it
-            yield (table, [tie[3] for tie in ties[-1]]) if group is not None else table
+            yield table, [tie[3] for tie in ties[-1]]
             return
         mark = len(trail)
         for v in domain[k]:
@@ -256,40 +257,39 @@ def _fill(n: int, bindings: list[tuple], group: Optional[Sequence[Relabeling]] =
                 yield from descend(k + 1)
             undo(mark)
 
-    if group is not None:
-        # the relabelings p of the group still tied with t, one list per
-        # depth: each as (its images, for each cell of p(t) the cell of t it
-        # reads, the first cell its walk has not passed, p itself)
-        cell_ids = tuple(range(size))
-        ties = [[(p[0], p[1](cell_ids), 0, p) for p in group]]
+    # the relabelings p of the group still tied with t, one list per
+    # depth: each as (its images, for each cell of p(t) the cell of t it
+    # reads, the first cell its walk has not passed, p itself)
+    cell_ids = tuple(range(size))
+    ties = [[(p[0], p[1](cell_ids), 0, p) for p in group]]
 
-        def descend(k: int) -> Iterator[OpTable]:
-            tied = []
-            for tie in ties[-1]:
-                img, src, start, p = tie
-                j = start
-                while j < size:
-                    t = e[j]
-                    u = e[src[j]]
-                    if t is None or u is None:
-                        tied.append(tie if j == start else (img, src, j, p))
-                        break
-                    u = img[u]
-                    if u != t:
-                        if u < t:
-                            return
-                        break  # p(t) is greater in every completion: dropped
-                    j += 1
-                else:
-                    tied.append((img, src, j, p))  # an automorphism of the full table
-            ties.append(tied)
-            try:
-                yield from fill(k)
-            finally:
-                ties.pop()
-    else:
-        descend = fill
+    def prune(k: int) -> Iterator[tuple[OpTable, list[Relabeling]]]:
+        tied = []
+        for tie in ties[-1]:
+            img, src, start, p = tie
+            j = start
+            while j < size:
+                t = e[j]
+                u = e[src[j]]
+                if t is None or u is None:
+                    tied.append(tie if j == start else (img, src, j, p))
+                    break
+                u = img[u]
+                if u != t:
+                    if u < t:
+                        return
+                    break  # p(t) is greater in every completion: dropped
+                j += 1
+            else:
+                tied.append((img, src, j, p))  # an automorphism of the full table
+        ties.append(tied)
+        try:
+            yield from fill(k)
+        finally:
+            ties.pop()
 
+    # the empty group skips the walk and its per-node generator
+    descend = prune if group else fill
     yield from fill(0)
 
 
@@ -351,13 +351,13 @@ def enumerate_semigroups(n: int, max_n: int = SEMIGROUP_ENUM_BOUND) -> Iterator[
         yield OpTable(n, entries)
 
 
-def _right_tables(left: OpTable, group: Optional[Sequence[Relabeling]] = None
-                  ) -> Iterator[OpTable | tuple[OpTable, list[Relabeling]]]:
+def _right_tables(left: OpTable, group: Sequence[Relabeling] = ()
+                  ) -> Iterator[tuple[OpTable, list[Relabeling]]]:
     """Every right table that makes a dimonoid with the associative table
     `left`, in lexicographic entry order: `_fill` with the five axiom
     bindings of AXIOM_BINDINGS, the left operation read from `left` and the
-    right one filled.  A `group` of automorphisms of `left` goes to `_fill`'s
-    prune.
+    right one filled, each with its stabilizer: a `group` of automorphisms
+    of `left` goes to `_fill`'s prune, and the empty one prunes nothing.
 
     Left associativity reads no right cell, so it is not tested.  The first
     axiom (x <| y) <| z = x <| (y |> z) reads one right cell per instance, so
@@ -374,7 +374,7 @@ def _leader_right_tables(least: OpTable) -> tuple[bytes, ...]:
     entry order, each as the bytes of its entries: filled once per leader and
     process for the dimonoid stream (1,000 over the 188 leaders of order 4,
     71,623 over the 1,915 of order 5, which the bound keeps whole)."""
-    return tuple(bytes(r.entries) for r in _right_tables(least))
+    return tuple(bytes(r.entries) for r, _ in _right_tables(least))
 
 
 def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
@@ -620,54 +620,31 @@ def check_construction_case(case: ConstructionCase) -> Optional[str]:
     return None
 
 
-def _moves_onto(lead: ConstructionCase, case: ConstructionCase,
-                sigma: list[int]) -> bool:
-    """Whether sigma is an isomorphism from lead to case that maps lead's
-    asserted halo and automorphism shape onto case's, with the asserted
-    flags equal."""
-    def image(points: frozenset[int]) -> frozenset[int]:
-        return frozenset(sigma[x] for x in points)
-
-    halo_image = None if lead.expected_halo is None else image(lead.expected_halo)
-    spec = lead.aut_spec
-    if spec is not None:
-        spec = SymmetricProductSpec.of(image(spec.fixed), [image(b) for b in spec.blocks])
-    return (halo_image == case.expected_halo and spec == case.aut_spec
-            and (lead.expected_abelian, lead.expected_commutative,
-                 lead.expected_rectangular)
-            == (case.expected_abelian, case.expected_commutative,
-                case.expected_rectangular)
-            and check_morphism(lead.dimonoid, case.dimonoid, sigma).isomorphism)
-
-
 def _case_verdicts(case_list: list[ConstructionCase]) -> list[Optional[str]]:
     """check_construction_case of each case, with one full check per
     parameter orbit where that decides the rest.
 
     The first case R of each orbit (constructions._orbit_key) is checked in
     full.  A later case C of its orbit takes R's verdict, None, only if R
-    passed and sigma = tau_C^-1 . tau_R passes _moves_onto: then C is a
+    passed and C has R's normal form (constructions._normal_form): then
+    sigma = tau_C^-1 . tau_R is an isomorphism from R onto C, so C is a
     dimonoid, halo(C) = sigma(halo(R)), Aut(C) = sigma Aut(R) sigma^-1 and
-    the flags of C are those of R, so C passes too.  Any other case is
-    checked in full, so the verdicts equal the per-case ones.  The leaders
-    live for one call."""
-    # the first case and tau of each orbit, or None where that case failed
-    leaders: dict[tuple, Optional[tuple[ConstructionCase, tuple[int, ...]]]] = {}
+    the flags of C are those of R, and C passes too.  Any other case is
+    checked in full, so the verdicts equal the per-case ones.  The normal
+    forms live for one call."""
+    # the normal form of the first case of each orbit, or None where it failed
+    forms: dict[tuple, Optional[tuple]] = {}
     verdicts = []
     for case in case_list:
         key, tau = _orbit_key(case)
         key = (case.name, key)
-        lead = leaders.get(key)
-        if lead is not None:
-            inverse = [0] * len(tau)
-            for x, v in enumerate(tau):
-                inverse[v] = x
-            if _moves_onto(lead[0], case, [inverse[v] for v in lead[1]]):
-                verdicts.append(None)
-                continue
+        form = forms.get(key)
+        if form is not None and _normal_form(case, tau) == form:
+            verdicts.append(None)
+            continue
         msg = check_construction_case(case)
-        if key not in leaders:
-            leaders[key] = (case, tau) if msg is None else None
+        if key not in forms:
+            forms[key] = _normal_form(case, tau) if msg is None else None
         verdicts.append(msg)
     return verdicts
 
@@ -684,13 +661,13 @@ def run_theorem_suite(n_max: int) -> SuiteReport:
     symmetric groups on named points, and the abelian, commutative and
     rectangular flags.  So the cases whose parameters differ by a
     permutation of D make one claim, moved along it.  The construction
-    sweep checks the first case of each parameter orbit in full; a later
-    case takes that verdict only when the relabeling between the two
-    parameter choices is checked to be an isomorphism of the two dimonoids
-    that maps the first case's asserted halo and shape onto the later one's,
-    with equal asserted flags.  That check makes the one full check a proof
-    for the later case; any case that fails it is checked in full, so the
-    failures are those of a per-case sweep (see _case_verdicts).  The
+    sweep moves each case onto its parameter orbit's normal form: its
+    tables, asserted halo and shape relabeled by the permutation that sends
+    its parameters to the orbit's one chosen choice, and its asserted flags.
+    The first case of each orbit is checked in full; a later case takes that
+    verdict only when its normal form equals the first case's, which makes
+    the one full check a proof for it.  Any other case is checked in full,
+    so the failures are those of a per-case sweep (see _case_verdicts).  The
     pairing criteria are decided the same way, on one semigroup per class.
 
     Failures are data, not exceptions: each record carries the first

@@ -185,21 +185,16 @@ def _parse_spec(text: str) -> SymmetricProductSpec:
 
 
 def _cmd_build(args) -> int:
-    from .families import FamilyParams, build
+    from .families import FamilyParams, build, make_params
 
     if args.inline is not None:
         params = FamilyParams.from_json(_parse_json(args.inline))
     else:
         if args.family is None or args.n is None:
             raise DimonoidError("build needs --family and --n (or --json)")
-        params = FamilyParams(
-            family=args.family,
-            n=args.n,
-            A=None if args.A is None else _parse_index_set(args.A),
-            a=args.a,
-            c=args.c,
-            zero=args.zero,
-        )
+        params = make_params(args.family, args.n,
+                             None if args.A is None else _parse_index_set(args.A),
+                             args.a, args.c, args.zero)
     table = build(params)
     _emit(table.to_json(), args.format, lambda: _render_optable(table))
     return 0

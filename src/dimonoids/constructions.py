@@ -36,7 +36,7 @@ from .families import (
     right_zero_sg,
     subsets,
 )
-from .morphisms import SymmetricProductSpec
+from .morphisms import Permutation, SymmetricProductSpec, relabel_dimonoid
 from .tables import check_size, dual_table
 
 
@@ -199,8 +199,7 @@ def _orbit_key(case: ConstructionCase) -> tuple[tuple, tuple[int, ...]]:
     choices at one n lie in one orbit iff their sorted colour lists agree, so
     the key is n with that list.  tau maps each x in D to its rank in the
     colour order, ties by x, and every other element to itself: it moves the
-    parameters onto one choice per key, so two cases of one key are moved
-    onto each other by tau_C^-1 . tau_R."""
+    parameters onto one choice per key (see `_normal_form`)."""
     n, *values = case.params.values()
     parts = [v if isinstance(v, frozenset) else (v,) for v in values]
     colours = [tuple(x in part for part in parts) for x in range(n)]
@@ -208,6 +207,26 @@ def _orbit_key(case: ConstructionCase) -> tuple[tuple, tuple[int, ...]]:
     for rank, x in enumerate(sorted(range(n), key=colours.__getitem__)):
         tau[x] = rank
     return (n, tuple(sorted(colours))), tuple(tau)
+
+
+def _normal_form(case: ConstructionCase, tau: tuple[int, ...]) -> tuple:
+    """The case moved along the relabeling tau of `_orbit_key`: its two
+    tables relabeled by tau, its asserted halo and automorphism shape moved
+    point by point, and its asserted flags, which relabeling keeps.
+
+    Two cases R and C of one key have equal normal forms iff
+    sigma = tau_C^-1 . tau_R is an isomorphism from R's dimonoid onto C's
+    that maps R's asserted halo and shape onto C's, with equal asserted
+    flags; then every claim checked for R holds for C, moved along sigma."""
+    def image(points: frozenset[int]) -> frozenset[int]:
+        return frozenset(tau[x] for x in points)
+
+    halo, spec = case.expected_halo, case.aut_spec
+    return (relabel_dimonoid(case.dimonoid, Permutation(tau)),
+            None if halo is None else image(halo),
+            None if spec is None
+            else SymmetricProductSpec.of(image(spec.fixed), [image(b) for b in spec.blocks]),
+            case.expected_abelian, case.expected_commutative, case.expected_rectangular)
 
 
 def all_cases(n_max: int, names: tuple[str, ...] = CONSTRUCTION_NAMES

@@ -3,6 +3,8 @@ import importlib
 import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -35,6 +37,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_readme_example_runs(capsys, monkeypatch, tmp_path):
+    text = README.read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    exec(example, {})
+    # every `dimonoids ...` line of the shell blocks, continuations joined
+    commands = [shlex.split(line)[1:]
+                for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("dimonoids ")]
+    assert [argv[0] for argv in commands] == ["build", "classify", "suite", "iso"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] == "iso":
+            assert json.loads(out) == {"isomorphic": True}
+        if argv[0] == "classify":
+            written = tmp_path / argv[argv.index("--out") + 1]
+            assert len(written.read_text(encoding="utf-8").splitlines()) == 52
 
 
 def test_build_json_matches_library(capsys):
