@@ -21,10 +21,12 @@ order and labeled count off the ties carried to it.
 
 Each process keeps what these depend on and never changes: the leaders of
 each order with their automorphisms, read by both streams, `classify` and
-the pairing records (188 at order 4, 1,915 at order 5), and the unpruned
-right tables of each leader, read by the dimonoid stream (1,000 at order 4,
-71,623 at order 5).  The sorted labeled tables are built again on every
-call, and `classify`'s pruned right fill runs on every call.  Enumeration is
+the pairing records (188 at order 4, 1,915 at order 5); the unpruned right
+tables of each leader, read by the dimonoid stream (1,000 at order 4, 71,623
+at order 5); and `classify`'s class keys, the pruned right tables of each
+leader with their automorphism orders (734 at order 4, 55,883 at order 5).
+Neither route reads the other's right tables, so they stay independent.
+The sorted labeled tables are built again on every call.  Enumeration is
 deterministic: tables are emitted in lexicographic order of their entry
 tuples, and catalogs are sorted by canonical form, so a catalog's bytes
 depend only on its order and quotient.
@@ -60,6 +62,7 @@ from .families import (
     right_zero_sg,
 )
 from .morphisms import (
+    CANONICAL_BOUND,
     Relabeling,
     _symmetric_group,
     automorphisms,
@@ -377,6 +380,27 @@ def _leader_right_tables(least: OpTable) -> tuple[bytes, ...]:
     return tuple(bytes(r.entries) for r, _ in _right_tables(least))
 
 
+@lru_cache(maxsize=8)
+def _class_keys(n: int) -> tuple[tuple[OpTable, bool, bytes, bytes], ...]:
+    """The dimonoid class keys of order n, for `classify`: for each lex
+    leader L0 of `_semigroup_leaders`, in order, (L0, whether L0 is
+    rectangular, the right tables R of its fill pruned under Aut(L0)
+    joined into one bytes, |Aut(L0, R)| of each R as one byte).  Filled once
+    per order and process (734 classes at order 4, 55,883 at order 5, about
+    1.7 MB); callers check n and their bound before the first read.  The
+    dimonoid stream never reads it, nor this the stream's
+    `_leader_right_tables`, so the two stay independent routes.  One byte
+    holds |Aut|, which divides n! <= 120 at the orders canonical_key takes
+    (CANONICAL_BOUND)."""
+    keys = []
+    for left, auts in _semigroup_leaders(n):
+        fill = list(_right_tables(left, auts))
+        keys.append((left, rectangular_witness(left) is None,
+                     b"".join(bytes(r.entries) for r, _ in fill),
+                     bytes(len(stab) + 1 for _, stab in fill)))
+    return tuple(keys)
+
+
 def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
                                      ) -> Iterator[DiTable]:
     """All labeled dimonoids of order n, each labeled semigroup on the left
@@ -474,6 +498,13 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     canonical_key runs once per class, for its dual.  The keys arrive in lex
     order, leaders first, then each leader's right tables.
 
+    The keys, their automorphism orders and each leader's rectangularity
+    depend only on n, so they are filled once per order and process
+    (`_class_keys`): a later call, under either quotient, fills no table.
+    Each class's dual, flags, halo and dual class, and the merge, are
+    computed per call.  canonical_key takes orders up to CANONICAL_BOUND, so
+    a larger n is refused before any fill, whatever max_n allows.
+
     The representatives carry an all-ok axiom report instead of rebuilding
     one for di_flags and halo: L0 was filled against associativity, each R
     against the other four axioms, and relabeling preserves both.
@@ -485,18 +516,20 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     if quotient not in QUOTIENTS:
         raise ValueError(f"quotient must be one of {QUOTIENTS}")
     check_size(n)
-    if n > max_n:
-        raise BoundExceeded(f"classification limited to n <= {max_n}")
+    bound = min(max_n, CANONICAL_BOUND)
+    if n > bound:
+        raise BoundExceeded(f"classification limited to n <= {bound}")
     fact = factorial(n)
-    found = []  # (L0, R, |Aut(L0, R)|, whether L0 is rectangular), in key order
-    for left, auts in _semigroup_leaders(n):
-        rectangular = rectangular_witness(left) is None
-        for right, stab in _right_tables(left, auts):
-            found.append((left, right, len(stab) + 1, rectangular))
-    index = {(left.entries, right.entries): i for i, (left, right, _, _) in enumerate(found)}
+    size = n * n
+    found = []  # (the dimonoid (L0, R), |Aut(L0, R)|, whether L0 is rectangular)
+    for left, rectangular, rights, orders in _class_keys(n):
+        cells = tuple(rights)
+        for k, order in zip(range(0, len(cells), size), orders):
+            right = OpTable(n, cells[k:k + size])
+            found.append((_known_dimonoid(left, right), order, rectangular))
+    index = {(d.left.entries, d.right.entries): i for i, (d, _, _) in enumerate(found)}
     entries = []
-    for left, right, order, rectangular in found:
-        d = _known_dimonoid(left, right)
+    for d, order, rectangular in found:
         dual = dual_dimonoid(d)  # built once, for the dual class and the flags
         entries.append(CatalogEntry(d, _di_flags(d, dual, rectangular), len(halo(d)),
                                     order, fact // order, index[canonical_key(dual)]))

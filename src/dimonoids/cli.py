@@ -3,7 +3,9 @@
 Subcommands: build, verify, props, halo, aut, dual, iso, classify, suite.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success or a true
 analytical outcome, 1 a false analytical outcome (not isomorphic, axioms fail,
-shape mismatch, suite failures), 2 usage errors, 3 invalid input.
+shape mismatch, suite failures), 2 usage errors, 3 invalid input.  A
+reader that closes stdout early ends the run with exit 1 and no error
+document.
 
 Each process runs one subcommand, so this module imports only the table and
 dimonoid layers up front; a subcommand handler imports the rest of what it
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -305,7 +308,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse already printed usage to the error stream
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a reader that closed stdout early is seen here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # not an input error, so no error document: what is left of stdout,
+        # flushed again as the interpreter exits, goes to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except DimonoidError as exc:
         _fail(type(exc).__name__, str(exc))
         return 3

@@ -7,8 +7,9 @@ check, each by its definition.
 - The table filters: every n^(n*n) table filtered by associativity (behind
   `enumerate_semigroups`), and every ordered pair of semigroups filtered by
   the pairing axioms (behind `enumerate_dimonoids_backtracking`).
-- The cell-by-cell scan of triples (behind the identity kernels) and of
-  element roles (behind the role scan).
+- The cell-by-cell scan of triples (behind the identity kernels), of
+  element roles (behind the role scan) and of a relabeled table (behind
+  `relabel_table`).
 
 They read the package's data types and single-map checks (`OpTable`,
 `pair`, `Permutation`, `check_morphism`, `relabel_table`, `axioms_ok`),
@@ -35,6 +36,16 @@ from dimonoids.tables import check_size
 def all_permutations(n):
     """Every member of S_n, in lexicographic order of its images."""
     return map(Permutation, permutations(range(n)))
+
+
+def relabel_by_cells(t, p):
+    """relabel_table by its definition, one cell at a time:
+    new(p(x), p(y)) = p(old(x, y))."""
+    n, img = t.n, p.images
+    out = [None] * (n * n)
+    for x, y in product(range(n), repeat=2):
+        out[img[x] * n + img[y]] = img[t.entries[x * n + y]]
+    return OpTable(n, tuple(out))
 
 
 def isomorphisms_by_scan(a, b):

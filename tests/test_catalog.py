@@ -133,6 +133,9 @@ def test_max_n_reaches_the_semigroup_stream(monkeypatch):
     monkeypatch.setattr(catalog, "_fill", refuse)
     with pytest.raises(BoundExceeded):
         classify(3, max_n=2)
+    # canonical_key keys no dimonoid past its bound, so classify fills none
+    with pytest.raises(BoundExceeded, match="n <= 5"):
+        classify(6, max_n=6)
     # so does the dimonoid stream
     with pytest.raises(BoundExceeded):
         list(enumerate_dimonoids_backtracking(4, max_n=3))
@@ -281,6 +284,50 @@ def test_a_warm_memo_keeps_every_bound():
         next(enumerate_dimonoids_backtracking(4))
     with pytest.raises(BoundExceeded):
         next(enumerate_semigroups(5))
+    # and the order-4 class keys
+    assert len(classify(4, max_n=4)) == 734
+    with pytest.raises(BoundExceeded):
+        classify(4)
+
+
+def test_each_order_fills_its_class_keys_once_per_process(monkeypatch):
+    # classify under one quotient fills the pruned right tables, and under
+    # the other reads them from the memo
+    filled = []
+
+    def counted(left, *args):
+        filled.append(left)
+        return _right_tables(left, *args)
+
+    monkeypatch.setattr(catalog, "_right_tables", counted)
+    for n, leaders in ((3, 24), (4, 188)):
+        for first, second in (catalog.QUOTIENTS, catalog.QUOTIENTS[::-1]):
+            catalog._class_keys.cache_clear()
+            filled.clear()
+            classify(n, first, max_n=4)
+            assert len(filled) == len(set(filled)) == leaders
+            filled.clear()
+            text = dumps_catalog(classify(n, second, max_n=4))
+            assert filled == []
+            assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[n, second]
+
+
+def test_classify_and_the_stream_share_no_right_tables(monkeypatch):
+    # classify keeps the pruned fill and the stream the unpruned one, so
+    # neither reads the other's memo
+    def refuse(least):
+        raise AssertionError("classify read the stream's right tables")
+
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "_leader_right_tables", refuse)
+        for (n, quotient), digest in CATALOG_DIGESTS.items():
+            text = dumps_catalog(classify(n, quotient, max_n=4))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
+    catalog._class_keys.cache_clear()
+    stream = b"".join(bytes(d.left.entries + d.right.entries)
+                      for d in enumerate_dimonoids_backtracking(4, max_n=4))
+    assert hashlib.sha256(stream).hexdigest() == ORDER_FOUR_STREAM_SHA256
+    assert catalog._class_keys.cache_info().currsize == 0
 
 
 def test_fill_reads_any_binding_shape(semigroups):
@@ -537,10 +584,11 @@ def test_catalog_bytes_are_pinned():
 
 
 def test_warm_memos_give_the_cold_catalogs():
-    # the memos hand out tuples and bytes, which no caller can change, so a
-    # catalog built on warm memos has the bytes of one built cold
+    # the memos hand out tuples, bytes and ints, which no caller can change,
+    # so a catalog built on warm memos has the bytes of one built cold
     for quotient in catalog.QUOTIENTS:
         catalog._semigroup_leaders.cache_clear()
+        catalog._class_keys.cache_clear()
         cold, warm = (dumps_catalog(classify(4, quotient, max_n=4)) for _ in range(2))
         assert cold == warm
         assert hashlib.sha256(warm.encode()).hexdigest() == CATALOG_DIGESTS[4, quotient]
@@ -551,6 +599,15 @@ def test_warm_memos_give_the_cold_catalogs():
         assert type(auts) is tuple and all(type(p) is tuple for p in auts)
         rights = catalog._leader_right_tables(left)
         assert type(rights) is tuple and all(type(r) is bytes for r in rights)
+    keys = catalog._class_keys(4)
+    assert type(keys) is tuple and len(keys) == 188
+    assert [left for left, _, _, _ in keys] == [t for t, _ in leaders]
+    for left, rectangular, rights, orders in keys:
+        assert type(left) is OpTable and type(left.entries) is tuple
+        assert type(rectangular) is bool
+        assert type(rights) is bytes and type(orders) is bytes
+        assert len(rights) == 16 * len(orders)
+    assert sum(len(orders) for _, _, _, orders in keys) == 734
 
 
 def test_classify_calls_canonical_key_once_per_class(monkeypatch):

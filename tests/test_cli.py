@@ -546,3 +546,50 @@ def test_deeply_nested_json_is_input_error_exit_3(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["code"] == "FormatError"
+
+
+def test_a_closed_stdout_exits_1_without_an_error_document(capsys, monkeypatch, tmp_path):
+    # a reader such as `head -1` that closes the pipe is no input error
+    sink = tmp_path / "sink"
+
+    class ClosedPipe:
+        def __init__(self):
+            self.fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    closed = ClosedPipe()
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", closed)
+        code = main(["build", "--family", "LO", "--n", "60"])
+    try:
+        # what is left of stdout now goes to the null device
+        os.write(closed.fd, b"rest")
+    finally:
+        os.close(closed.fd)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert sink.read_bytes() == b""
+    # a missing input file is still invalid input
+    code, out, err = run(capsys, "verify", str(tmp_path / "missing.json"))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "FileNotFoundError"
+
+
+def test_a_closed_pipe_ends_a_process_quietly():
+    # the whole process: the reader takes one line of a table far larger
+    # than a pipe holds and closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(dimonoids.__file__).parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "dimonoids.cli", "build", "--family",
+                             "LO", "--n", "200"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -49,6 +49,7 @@ from reference import (
     isomorphisms_by_scan,
     reference_key,
     reference_minimizers,
+    relabel_by_cells,
 )
 
 
@@ -132,6 +133,20 @@ def test_relabeling_checks_the_permutation_size():
             relabel_table(t, p)
         with pytest.raises(SizeMismatch):
             relabel_dimonoid(pair(t, t), p)
+
+
+def test_relabeling_gathers_the_tables_of_the_cell_route():
+    # both tables of every construction case, by seeded random permutations
+    rng = random.Random(31)
+    tables = sorted({t for case in all_cases(6)
+                     for t in (case.dimonoid.left, case.dimonoid.right)})
+    assert len(tables) > 1000
+    for t in tables:
+        for _ in range(4):
+            images = list(range(t.n))
+            rng.shuffle(images)
+            p = Permutation(tuple(images))
+            assert relabel_table(t, p) == relabel_by_cells(t, p), (t, p)
 
 
 def test_check_morphism_rejects_non_int_images():
