@@ -23,13 +23,13 @@ Each process keeps what these depend on and never changes: the leaders of
 each order with their automorphisms, read by both streams, `classify` and
 the pairing records (188 at order 4, 1,915 at order 5); the unpruned right
 tables of each leader, read by the dimonoid stream (1,000 at order 4, 71,623
-at order 5); and `classify`'s class keys, the pruned right tables of each
-leader with their automorphism orders (734 at order 4, 55,883 at order 5).
+at order 5); and `classify`'s iso catalog itself, which the pruned right
+fill of each leader builds (734 classes at order 4, 55,883 at order 5).
 Neither route reads the other's right tables, so they stay independent.
-The sorted labeled tables are built again on every call.  Enumeration is
-deterministic: tables are emitted in lexicographic order of their entry
-tuples, and catalogs are sorted by canonical form, so a catalog's bytes
-depend only on its order and quotient.
+The sorted labeled tables and the iso_and_duality merge are built again on
+every call.  Enumeration is deterministic: tables are emitted in
+lexicographic order of their entry tuples, and catalogs are sorted by
+canonical form, so a catalog's bytes depend only on its order and quotient.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .morphisms import (
 )
 from .tables import (
     OpTable,
+    _check_keys,
     assoc_witness,
     check_size,
     dual_table,
@@ -380,27 +381,6 @@ def _leader_right_tables(least: OpTable) -> tuple[bytes, ...]:
     return tuple(bytes(r.entries) for r, _ in _right_tables(least))
 
 
-@lru_cache(maxsize=8)
-def _class_keys(n: int) -> tuple[tuple[OpTable, bool, bytes, bytes], ...]:
-    """The dimonoid class keys of order n, for `classify`: for each lex
-    leader L0 of `_semigroup_leaders`, in order, (L0, whether L0 is
-    rectangular, the right tables R of its fill pruned under Aut(L0)
-    joined into one bytes, |Aut(L0, R)| of each R as one byte).  Filled once
-    per order and process (734 classes at order 4, 55,883 at order 5, about
-    1.7 MB); callers check n and their bound before the first read.  The
-    dimonoid stream never reads it, nor this the stream's
-    `_leader_right_tables`, so the two stay independent routes.  One byte
-    holds |Aut|, which divides n! <= 120 at the orders canonical_key takes
-    (CANONICAL_BOUND)."""
-    keys = []
-    for left, auts in _semigroup_leaders(n):
-        fill = list(_right_tables(left, auts))
-        keys.append((left, rectangular_witness(left) is None,
-                     b"".join(bytes(r.entries) for r, _ in fill),
-                     bytes(len(stab) + 1 for _, stab in fill)))
-    return tuple(keys)
-
-
 def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
                                      ) -> Iterator[DiTable]:
     """All labeled dimonoids of order n, each labeled semigroup on the left
@@ -458,27 +438,25 @@ class CatalogEntry(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict) -> "CatalogEntry":
-        for name in ("halo_size", "aut_order", "labeled_count", "dual_class"):
+        counts = ("halo_size", "aut_order", "labeled_count", "dual_class")
+        _check_keys(doc, ("canonical", "flags") + counts)
+        for name in counts:
             if type(doc[name]) is not int:
                 raise FormatError(f"{name!r} must be a JSON integer, got {doc[name]!r}")
-        return cls(
-            canonical=DiTable.from_json(doc["canonical"]),
-            flags=DiFlags.from_json(doc["flags"]),
-            halo_size=doc["halo_size"],
-            aut_order=doc["aut_order"],
-            labeled_count=doc["labeled_count"],
-            dual_class_id=doc["dual_class"],
-        )
+        return cls(DiTable.from_json(doc["canonical"]), DiFlags.from_json(doc["flags"]),
+                   *(doc[name] for name in counts))
 
 
 QUOTIENTS = ("iso", "iso_and_duality")
 
 
-def classify(n: int, quotient: str = "iso", workers: int = 1,
-             max_n: int = DIMONOID_ENUM_BOUND) -> list[CatalogEntry]:
-    """Classify all labeled dimonoids of order n up to isomorphism, or up to
-    isomorphism-or-duality.  `workers` is ignored; it is kept so that
-    positional callers still work.
+@lru_cache(maxsize=8)
+def _iso_catalog(n: int) -> tuple[CatalogEntry, ...]:
+    """`classify`'s catalog of order n under the iso quotient, built once per
+    order and process (734 classes at order 4, 55,883 at order 5); callers
+    check n and their bound before the first read.  The dimonoid stream
+    never reads it, nor this the stream's `_leader_right_tables`, so the two
+    stay independent routes.
 
     Every class has a member whose left table is the canonical (least
     relabeled) left table of its semigroup class: relabel any member by a
@@ -496,22 +474,43 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     n!/aut_order by orbit-stabilizer; no automorphism search runs (the tests
     reconcile both against direct counting and the search), and
     canonical_key runs once per class, for its dual.  The keys arrive in lex
-    order, leaders first, then each leader's right tables.
-
-    The keys, their automorphism orders and each leader's rectangularity
-    depend only on n, so they are filled once per order and process
-    (`_class_keys`): a later call, under either quotient, fills no table.
-    Each class's dual, flags, halo and dual class, and the merge, are
-    computed per call.  canonical_key takes orders up to CANONICAL_BOUND, so
-    a larger n is refused before any fill, whatever max_n allows.
+    order, leaders first, then each leader's right tables, so the entries
+    are sorted by their canonical tables.
 
     The representatives carry an all-ok axiom report instead of rebuilding
     one for di_flags and halo: L0 was filled against associativity, each R
     against the other four axioms, and relabeling preserves both.
+    """
+    fact = factorial(n)
+    found = []  # (the dimonoid (L0, R), |Aut(L0, R)|, whether L0 is rectangular)
+    for left, auts in _semigroup_leaders(n):
+        rectangular = rectangular_witness(left) is None
+        for right, stab in _right_tables(left, auts):
+            found.append((_known_dimonoid(left, right), len(stab) + 1, rectangular))
+    index = {(d.left.entries, d.right.entries): i for i, (d, _, _) in enumerate(found)}
+    entries = []
+    for d, order, rectangular in found:
+        dual = dual_dimonoid(d)  # built once, for the dual class and the flags
+        entries.append(CatalogEntry(d, _di_flags(d, dual, rectangular), len(halo(d)),
+                                    order, fact // order, index[canonical_key(dual)]))
+    return tuple(entries)
+
+
+def classify(n: int, quotient: str = "iso", workers: int = 1,
+             max_n: int = DIMONOID_ENUM_BOUND) -> list[CatalogEntry]:
+    """Classify all labeled dimonoids of order n up to isomorphism, or up to
+    isomorphism-or-duality, as a new list on each call.  `workers` is
+    ignored; it is kept so that positional callers still work.
+
+    The iso catalog depends only on n, so it is built once per order and
+    process (`_iso_catalog`, which says how): a later call, under either
+    quotient, fills no table and keys no class.  canonical_key takes orders
+    up to CANONICAL_BOUND, so a larger n is refused before the memo is
+    read, whatever max_n allows.
 
     Entries are sorted by their canonical tables.  Under the iso_and_duality
-    quotient, each nonabelian class is merged with its dual class and every
-    entry is its own dual class.
+    quotient, built from the iso catalog on each call, each nonabelian class
+    is merged with its dual class and every entry is its own dual class.
     """
     if quotient not in QUOTIENTS:
         raise ValueError(f"quotient must be one of {QUOTIENTS}")
@@ -519,22 +518,9 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     bound = min(max_n, CANONICAL_BOUND)
     if n > bound:
         raise BoundExceeded(f"classification limited to n <= {bound}")
-    fact = factorial(n)
-    size = n * n
-    found = []  # (the dimonoid (L0, R), |Aut(L0, R)|, whether L0 is rectangular)
-    for left, rectangular, rights, orders in _class_keys(n):
-        cells = tuple(rights)
-        for k, order in zip(range(0, len(cells), size), orders):
-            right = OpTable(n, cells[k:k + size])
-            found.append((_known_dimonoid(left, right), order, rectangular))
-    index = {(d.left.entries, d.right.entries): i for i, (d, _, _) in enumerate(found)}
-    entries = []
-    for d, order, rectangular in found:
-        dual = dual_dimonoid(d)  # built once, for the dual class and the flags
-        entries.append(CatalogEntry(d, _di_flags(d, dual, rectangular), len(halo(d)),
-                                    order, fact // order, index[canonical_key(dual)]))
+    entries = _iso_catalog(n)
     if quotient == "iso":
-        return entries
+        return list(entries)
     merged: list[CatalogEntry] = []
     for i, entry in enumerate(entries):
         j = entry.dual_class_id

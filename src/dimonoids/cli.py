@@ -15,7 +15,8 @@ slotted DiTable, so no subcommand generates record classes at import time or
 loads `inspect`.  Every structure input is read as a DiTable by
 `_load_structure` (a single table as the trivial dimonoid on it), and every
 JSON input is decoded by `_parse_json`, so a document nested too deeply to
-decode exits 3 like any other malformed one.
+decode exits 3 like any other malformed one, as does one holding a key its
+reader does not know.
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ def _parse_json(text: str):
 
 def _load_structure(path: Optional[str], inline: Optional[str]) -> DiTable:
     """Read one input document; a single table is taken as the trivial
-    dimonoid on it."""
+    dimonoid on it.  The readers refuse a key they do not know, so a document
+    holding both a "table" and "left"/"right" is refused, not read as the
+    table alone."""
     if inline is None and path is None:
         raise DimonoidError("no input: pass a file or --json")
     if inline is not None:

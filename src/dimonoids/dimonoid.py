@@ -29,6 +29,7 @@ from .tables import (
     OpTable,
     Witness,
     _check_index,
+    _check_keys,
     adjoin_zero,
     assoc_witness,
     dual_table,
@@ -158,6 +159,7 @@ class DiTable:
     def from_json(cls, doc: dict) -> "DiTable":
         if not isinstance(doc, dict) or not {"n", "left", "right"} <= set(doc):
             raise SizeMismatch("dimonoid document needs 'n', 'left' and 'right' keys")
+        _check_keys(doc, ("n", "left", "right"))
         left = OpTable.from_json({"n": doc["n"], "table": doc["left"]})
         right = OpTable.from_json({"n": doc["n"], "table": doc["right"]})
         return pair(left, right)
@@ -230,6 +232,7 @@ class DiFlags(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict) -> "DiFlags":
+        _check_keys(doc, cls._fields)
         for name in cls._fields:
             if not isinstance(doc[name], bool):
                 raise FormatError(f"flag {name!r} must be a JSON boolean, got {doc[name]!r}")

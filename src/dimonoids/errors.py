@@ -72,7 +72,8 @@ class BoundExceeded(DimonoidError, ValueError):
 
 
 class FormatError(DimonoidError, ValueError):
-    """A persisted catalog file could not be parsed."""
+    """A JSON document or a persisted catalog file could not be parsed, or
+    holds a key its reader does not know."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")

@@ -11,11 +11,11 @@ settings.load_profile("suite")
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Each test starts without the per-process lex leaders, right tables
-    and class keys of `dimonoids.catalog`, so a test that counts fills sees
+    and iso catalogs of `dimonoids.catalog`, so a test that counts fills sees
     the cold call whatever ran before it."""
     catalog._semigroup_leaders.cache_clear()
     catalog._leader_right_tables.cache_clear()
-    catalog._class_keys.cache_clear()
+    catalog._iso_catalog.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -291,25 +291,48 @@ def test_a_warm_memo_keeps_every_bound():
 
 
 def test_each_order_fills_its_class_keys_once_per_process(monkeypatch):
-    # classify under one quotient fills the pruned right tables, and under
-    # the other reads them from the memo
-    filled = []
+    # classify under one quotient builds the iso catalog, and a later call
+    # under either quotient reads it from the memo: it fills no right table
+    # and keys no class
+    filled, keyed = [], []
 
-    def counted(left, *args):
+    def counted_fill(left, *args):
         filled.append(left)
         return _right_tables(left, *args)
 
-    monkeypatch.setattr(catalog, "_right_tables", counted)
-    for n, leaders in ((3, 24), (4, 188)):
-        for first, second in (catalog.QUOTIENTS, catalog.QUOTIENTS[::-1]):
-            catalog._class_keys.cache_clear()
+    def counted_key(d):
+        keyed.append(d)
+        return canonical_key(d)
+
+    monkeypatch.setattr(catalog, "_right_tables", counted_fill)
+    monkeypatch.setattr(catalog, "canonical_key", counted_key)
+    for n, leaders, classes in ((3, 24, 52), (4, 188, 734)):
+        for first in catalog.QUOTIENTS:
+            catalog._iso_catalog.cache_clear()
             filled.clear()
+            keyed.clear()
             classify(n, first, max_n=4)
             assert len(filled) == len(set(filled)) == leaders
-            filled.clear()
-            text = dumps_catalog(classify(n, second, max_n=4))
-            assert filled == []
-            assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[n, second]
+            assert len(keyed) == classes
+            for second in catalog.QUOTIENTS:
+                filled.clear()
+                keyed.clear()
+                text = dumps_catalog(classify(n, second, max_n=4))
+                assert filled == [] and keyed == []
+                assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[n, second]
+
+
+def test_changing_a_returned_catalog_leaves_the_memo_whole():
+    # each call returns a new list, so a caller that empties or extends it
+    # changes no later call's catalog
+    for n in (3, 4):
+        for quotient in catalog.QUOTIENTS:
+            entries = classify(n, quotient, max_n=4)
+            extra = entries[0]
+            entries.clear()
+            classify(n, quotient, max_n=4).append(extra)
+            text = dumps_catalog(classify(n, quotient, max_n=4))
+            assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[n, quotient]
 
 
 def test_classify_and_the_stream_share_no_right_tables(monkeypatch):
@@ -323,11 +346,11 @@ def test_classify_and_the_stream_share_no_right_tables(monkeypatch):
         for (n, quotient), digest in CATALOG_DIGESTS.items():
             text = dumps_catalog(classify(n, quotient, max_n=4))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
-    catalog._class_keys.cache_clear()
+    catalog._iso_catalog.cache_clear()
     stream = b"".join(bytes(d.left.entries + d.right.entries)
                       for d in enumerate_dimonoids_backtracking(4, max_n=4))
     assert hashlib.sha256(stream).hexdigest() == ORDER_FOUR_STREAM_SHA256
-    assert catalog._class_keys.cache_info().currsize == 0
+    assert catalog._iso_catalog.cache_info().currsize == 0
 
 
 def test_fill_reads_any_binding_shape(semigroups):
@@ -584,14 +607,18 @@ def test_catalog_bytes_are_pinned():
 
 
 def test_warm_memos_give_the_cold_catalogs():
-    # the memos hand out tuples, bytes and ints, which no caller can change,
-    # so a catalog built on warm memos has the bytes of one built cold
+    # the memos hand out tuples, bytes, ints and read-only records, which no
+    # caller can change, so a catalog built on warm memos has the bytes of
+    # one built cold
+    colds = {}
     for quotient in catalog.QUOTIENTS:
         catalog._semigroup_leaders.cache_clear()
-        catalog._class_keys.cache_clear()
-        cold, warm = (dumps_catalog(classify(4, quotient, max_n=4)) for _ in range(2))
-        assert cold == warm
-        assert hashlib.sha256(warm.encode()).hexdigest() == CATALOG_DIGESTS[4, quotient]
+        catalog._iso_catalog.cache_clear()
+        cold, warm = (classify(4, quotient, max_n=4) for _ in range(2))
+        colds[quotient] = cold
+        assert dumps_catalog(cold) == dumps_catalog(warm)
+        text = dumps_catalog(warm)
+        assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[4, quotient]
     leaders = catalog._semigroup_leaders(4)
     assert type(leaders) is tuple and len(leaders) == 188
     for left, auts in leaders:
@@ -599,15 +626,10 @@ def test_warm_memos_give_the_cold_catalogs():
         assert type(auts) is tuple and all(type(p) is tuple for p in auts)
         rights = catalog._leader_right_tables(left)
         assert type(rights) is tuple and all(type(r) is bytes for r in rights)
-    keys = catalog._class_keys(4)
-    assert type(keys) is tuple and len(keys) == 188
-    assert [left for left, _, _, _ in keys] == [t for t, _ in leaders]
-    for left, rectangular, rights, orders in keys:
-        assert type(left) is OpTable and type(left.entries) is tuple
-        assert type(rectangular) is bool
-        assert type(rights) is bytes and type(orders) is bytes
-        assert len(rights) == 16 * len(orders)
-    assert sum(len(orders) for _, _, _, orders in keys) == 734
+    kept = catalog._iso_catalog(4)
+    assert type(kept) is tuple and len(kept) == 734
+    assert all(type(entry) is CatalogEntry for entry in kept)
+    assert list(kept) == colds["iso"]
 
 
 def test_classify_calls_canonical_key_once_per_class(monkeypatch):
@@ -706,6 +728,20 @@ def test_load_rejects_non_integer_counts(catalogs):
 def test_catalog_entry_json_round_trip(catalogs):
     e = catalogs[2][0]
     assert CatalogEntry.from_json(e.to_json()) == e
+
+
+def test_load_rejects_unknown_keys_by_line(catalogs):
+    # an unknown key in an entry, its canonical table or its flags is
+    # refused, and the error names the line that holds it
+    doc = catalogs[2][0].to_json()
+    good = dumps_catalog(catalogs[1])
+    for bad in (dict(doc, extra=1),
+                dict(doc, canonical=dict(doc["canonical"], table=doc["canonical"]["left"])),
+                dict(doc, flags=dict(doc["flags"], halo=True))):
+        with pytest.raises(FormatError, match="unknown keys") as err:
+            loads_catalog(good + json.dumps(bad) + "\n")
+        assert err.value.line == 2
+        assert str(err.value).startswith("line 2: ")
 
 
 def test_suite_passes_at_small_bound():

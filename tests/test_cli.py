@@ -205,6 +205,23 @@ def test_verify_rejects_boolean_size_exit_3(capsys):
     assert json.loads(err)["error"]["code"] == "SizeMismatch"
 
 
+def test_unknown_keys_and_ambiguous_documents_exit_3(capsys):
+    # a key no reader knows is refused, and so is a document holding both a
+    # bare table and a pair, which is neither
+    d = pair(left_zero_sg(2), right_zero_sg(2))
+    doc, table = d.to_json(), left_zero_sg(2).to_json()
+    good = json.dumps(doc)
+    for bad in (dict(doc, extra=1), dict(table, x=1), dict(table, left=doc["left"]),
+                dict(doc, table=table["table"])):
+        text = json.dumps(bad)
+        for argv in (["verify", "--json", text], ["props", "--json", text],
+                     ["halo", "--json", text], ["dual", "--json", text],
+                     ["aut", "--json", text], ["iso", text, good], ["iso", good, text]):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "", argv
+            assert json.loads(err)["error"]["code"] == "FormatError", argv
+
+
 def test_props_halo_dual_aut(capsys, tmp_path):
     d = pair(left_zero_sg(2), right_zero_sg(2))
     path = tmp_path / "d.json"

@@ -6,6 +6,7 @@ from dimonoids import (
     DiFlags,
     DiTable,
     EmptySubset,
+    FormatError,
     IndexOutOfRange,
     NotADimonoid,
     NotAssociative,
@@ -88,6 +89,13 @@ def test_di_table_json_round_trip():
     assert again == d and again.is_dimonoid
 
 
+def test_di_table_json_rejects_unknown_keys():
+    doc = lob_with_fixed_null(3, 0, 1).to_json()
+    for extra in ({"extra": 1}, {"table": doc["left"]}):
+        with pytest.raises(FormatError, match="unknown keys"):
+            DiTable.from_json(dict(doc, **extra))
+
+
 def test_di_table_is_a_value_whose_report_is_computed_once(monkeypatch):
     reports = []
 
@@ -118,6 +126,8 @@ def test_di_flags_are_values_with_a_stable_document():
     doc = flags.to_json()
     assert list(doc) == ["trivial", "commutative", "abelian", "self_dual", "rectangular"]
     assert DiFlags.from_json(doc) == flags
+    with pytest.raises(FormatError, match="unknown keys"):
+        DiFlags.from_json(dict(doc, halo=True))
 
 
 def test_dual_of_left_right_zero_pair_is_itself():

@@ -2,6 +2,7 @@ import pytest
 
 from dimonoids import (
     EmptyCarrier,
+    FormatError,
     IndexOutOfRange,
     SizeMismatch,
     OpTable,
@@ -53,6 +54,14 @@ def test_from_json_rejects_bad_shapes():
         OpTable.from_json({"n": True, "table": [[0]]})
     with pytest.raises(SizeMismatch):
         OpTable.from_json({"table": [[0]]})
+
+
+def test_from_json_rejects_unknown_keys():
+    # a key the reader does not know is refused, not dropped unread
+    doc = left_zero_sg(2).to_json()
+    for extra in ({"x": 1}, {"left": doc["table"]}, {"right": doc["table"]}):
+        with pytest.raises(FormatError, match="unknown keys"):
+            OpTable.from_json(dict(doc, **extra))
 
 
 def test_associativity_of_defining_families():
