@@ -39,8 +39,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .constructions import (CONSTRUCTION_NAMES, ConstructionCase, _normal_form, _orbit_key,
-                            all_cases)
+from .constructions import CONSTRUCTION_NAMES, ConstructionCase, _normal_form, all_cases
 from .dimonoid import (
     AXIOM_BINDINGS,
     DiFlags,
@@ -641,29 +640,24 @@ def check_construction_case(case: ConstructionCase) -> Optional[str]:
 
 def _case_verdicts(case_list: list[ConstructionCase]) -> list[Optional[str]]:
     """check_construction_case of each case, with one full check per
-    parameter orbit where that decides the rest.
+    normal form that passed.
 
-    The first case R of each orbit (constructions._orbit_key) is checked in
-    full.  A later case C of its orbit takes R's verdict, None, only if R
-    passed and C has R's normal form (constructions._normal_form): then
-    sigma = tau_C^-1 . tau_R is an isomorphism from R onto C, so C is a
-    dimonoid, halo(C) = sigma(halo(R)), Aut(C) = sigma Aut(R) sigma^-1 and
-    the flags of C are those of R, and C passes too.  Any other case is
-    checked in full, so the verdicts equal the per-case ones.  The normal
-    forms live for one call."""
-    # the normal form of the first case of each orbit, or None where it failed
-    forms: dict[tuple, Optional[tuple]] = {}
+    A case C whose normal form (constructions._normal_form) is that of a
+    case R that passed its full check takes None: sigma = tau_C^-1 . tau_R
+    is an isomorphism from R onto C, so C is a dimonoid, halo(C) =
+    sigma(halo(R)), Aut(C) = sigma Aut(R) sigma^-1 and the flags of C are
+    those of R, and C passes too.  Any other case is checked in full, and
+    its form joins the passed ones only if it passes.  A failing case adds
+    no form, so every case sharing it is checked in full until one passes,
+    and the verdicts equal the per-case ones.  The forms live for one call."""
+    passed: set[tuple] = set()
     verdicts = []
     for case in case_list:
-        key, tau = _orbit_key(case)
-        key = (case.name, key)
-        form = forms.get(key)
-        if form is not None and _normal_form(case, tau) == form:
-            verdicts.append(None)
-            continue
-        msg = check_construction_case(case)
-        if key not in forms:
-            forms[key] = _normal_form(case, tau) if msg is None else None
+        form = _normal_form(case)
+        if form in passed:
+            msg = None
+        elif (msg := check_construction_case(case)) is None:
+            passed.add(form)
         verdicts.append(msg)
     return verdicts
 
@@ -680,13 +674,12 @@ def run_theorem_suite(n_max: int) -> SuiteReport:
     symmetric groups on named points, and the abelian, commutative and
     rectangular flags.  So the cases whose parameters differ by a
     permutation of D make one claim, moved along it.  The construction
-    sweep moves each case onto its parameter orbit's normal form: its
-    tables, asserted halo and shape relabeled by the permutation that sends
-    its parameters to the orbit's one chosen choice, and its asserted flags.
-    The first case of each orbit is checked in full; a later case takes that
-    verdict only when its normal form equals the first case's, which makes
-    the one full check a proof for it.  Any other case is checked in full,
-    so the failures are those of a per-case sweep (see _case_verdicts).  The
+    sweep moves each case onto its normal form: its tables, asserted halo
+    and shape relabeled by the permutation that sends its parameters to one
+    chosen choice of their orbit, and its asserted flags.  A case takes the
+    verdict None when a case with its normal form has passed a full check,
+    which is then a proof for it; any other case is checked in full, so the
+    failures are those of a per-case sweep (see _case_verdicts).  The
     pairing criteria are decided the same way, on one semigroup per class.
 
     Failures are data, not exceptions: each record carries the first
@@ -724,7 +717,7 @@ def run_theorem_suite(n_max: int) -> SuiteReport:
         f"right-zero tables with 2 <= n <= {n_max} are not right commutative",
         failures))
 
-    # the nine constructions, one full check per parameter orbit
+    # the nine constructions, one full check per passing normal form
     for name in CONSTRUCTION_NAMES:
         case_list = list(all_cases(n_max, (name,)))
         failures = [msg for msg in _case_verdicts(case_list) if msg is not None]

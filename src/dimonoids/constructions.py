@@ -189,40 +189,34 @@ def cases(name: str, n: int) -> Iterator[ConstructionCase]:
                                row.build(n, *values), *row.expect(n, D, *values))
 
 
-def _orbit_key(case: ConstructionCase) -> tuple[tuple, tuple[int, ...]]:
-    """The relabeling orbit of a case's parameters, as (key, tau).
+def _normal_form(case: ConstructionCase) -> tuple:
+    """The case moved onto one chosen choice of its parameter orbit.
 
     A permutation of D = 0..n-1 moves each parameter, a subset A or a point
     a, c or zero, to its image, and fixes the elements at indices >= n (an
     adjoined zero).  Colour each x in D by the parameters in row order:
-    whether x lies in a subset, whether x equals a point.  Two parameter
-    choices at one n lie in one orbit iff their sorted colour lists agree, so
-    the key is n with that list.  tau maps each x in D to its rank in the
-    colour order, ties by x, and every other element to itself: it moves the
-    parameters onto one choice per key (see `_normal_form`)."""
+    whether x lies in a subset, whether x equals a point.  tau maps each x
+    in D to its rank in the colour order, ties by x, and every other element
+    to itself.  The normal form is the case moved along tau: its two tables
+    relabeled, its asserted halo and automorphism shape moved point by
+    point, and its asserted flags, which relabeling keeps.
+
+    Two cases R and C have equal normal forms iff sigma = tau_C^-1 . tau_R
+    is an isomorphism from R's dimonoid onto C's that maps R's asserted halo
+    and shape onto C's, with equal asserted flags; then every claim checked
+    for R holds for C, moved along sigma."""
     n, *values = case.params.values()
     parts = [v if isinstance(v, frozenset) else (v,) for v in values]
     colours = [tuple(x in part for part in parts) for x in range(n)]
     tau = list(range(case.dimonoid.n))
     for rank, x in enumerate(sorted(range(n), key=colours.__getitem__)):
         tau[x] = rank
-    return (n, tuple(sorted(colours))), tuple(tau)
 
-
-def _normal_form(case: ConstructionCase, tau: tuple[int, ...]) -> tuple:
-    """The case moved along the relabeling tau of `_orbit_key`: its two
-    tables relabeled by tau, its asserted halo and automorphism shape moved
-    point by point, and its asserted flags, which relabeling keeps.
-
-    Two cases R and C of one key have equal normal forms iff
-    sigma = tau_C^-1 . tau_R is an isomorphism from R's dimonoid onto C's
-    that maps R's asserted halo and shape onto C's, with equal asserted
-    flags; then every claim checked for R holds for C, moved along sigma."""
     def image(points: frozenset[int]) -> frozenset[int]:
         return frozenset(tau[x] for x in points)
 
     halo, spec = case.expected_halo, case.aut_spec
-    return (relabel_dimonoid(case.dimonoid, Permutation(tau)),
+    return (relabel_dimonoid(case.dimonoid, Permutation(tuple(tau))),
             None if halo is None else image(halo),
             None if spec is None
             else SymmetricProductSpec.of(image(spec.fixed), [image(b) for b in spec.blocks]),

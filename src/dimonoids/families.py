@@ -94,7 +94,8 @@ def lob(n: int, a: int, c: int) -> OpTable:
     """Left-zero band with distinguished pair (a, c): a*a = a, a*y = c for
     y != a, and x*y = x for x != a.  All choices of (a, c) give isomorphic
     tables."""
-    if not isinstance(a, int) or not isinstance(c, int) or a == c:
+    # a parameter that is not an int is left to _check_index, as a bad index
+    if type(a) is int and type(c) is int and a == c:
         raise EqualDistinguished("a and c must be distinct elements")
     check_size(n)
     if n < 2:

@@ -34,8 +34,8 @@ from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .dimonoid import DiTable, _require_dimonoid, as_ditable, pair
-from .errors import BadPartition, BoundExceeded, IndexOutOfRange, SizeMismatch
-from .tables import OpTable, _check_index, _role_scan
+from .errors import BadPartition, BoundExceeded, FormatError, IndexOutOfRange, SizeMismatch
+from .tables import OpTable, _check_index, _check_keys, _role_scan
 
 CANONICAL_BOUND = 5
 # largest carrier the isomorphism search (automorphisms, are_isomorphic) takes
@@ -82,6 +82,9 @@ class Permutation(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict) -> "Permutation":
+        if not isinstance(doc, dict) or "images" not in doc:
+            raise FormatError("permutation document needs an 'images' key")
+        _check_keys(doc, ("images",))
         return cls.of(doc["images"])
 
 
@@ -491,9 +494,7 @@ def _symmetric_group(n: int) -> tuple[Relabeling, ...]:
     rng = range(n)
     relabelings = []
     for img in _permutations(rng):
-        inv = [0] * n
-        for x, v in enumerate(img):
-            inv[v] = x
+        inv = Permutation(img).inverse().images
         cells = [inv[i] * n + inv[j] for i in rng for j in rng]
         # itemgetter of a single index returns the entry, not a 1-tuple
         relabelings.append((bytes(img) + bytes(range(n, 256)),

@@ -10,6 +10,8 @@ check, each by its definition.
 - The cell-by-cell scan of triples (behind the identity kernels), of
   element roles (behind the role scan) and of a relabeled table (behind
   `relabel_table`).
+- The n! scan of a construction's parameters: their relabeling orbit
+  (behind the suite's normal forms).
 
 They read the package's data types and single-map checks (`OpTable`,
 `pair`, `Permutation`, `check_morphism`, `relabel_table`, `axioms_ok`),
@@ -116,6 +118,20 @@ def reference_roles(t):
              all(t.entry(x, a) == a for a in rng), all(t.entry(a, x) == a for a in rng),
              t.entry(x, x) == x)
             for x in rng]
+
+
+def moved_params(params, p):
+    """A construction's parameters moved along p in S_n: a subset element by
+    element, a point to its image; n stays."""
+    return {k: v if k == "n" else frozenset(map(p, v)) if isinstance(v, frozenset) else p(v)
+            for k, v in params.items()}
+
+
+def parameter_orbit(params):
+    """The relabeling orbit of a construction's parameters: their images
+    under every member of S_n, each as its tuple of (name, value) items."""
+    return frozenset(tuple(moved_params(params, p).items())
+                     for p in all_permutations(params["n"]))
 
 
 def enumerate_semigroups_brute(n):

@@ -40,7 +40,7 @@ from dimonoids import (
     semigroup_class,
 )
 from dimonoids.catalog import _case_verdicts, _fill, _right_tables, check_construction_case
-from dimonoids.constructions import CONSTRUCTION_NAMES, _orbit_key
+from dimonoids.constructions import CONSTRUCTION_NAMES
 from dimonoids.dimonoid import AXIOM_BINDINGS
 from dimonoids.morphisms import _symmetric_group
 from dimonoids.tables import rectangular_witness
@@ -48,6 +48,7 @@ from reference import (
     enumerate_dimonoids_by_pairs,
     enumerate_semigroups_brute,
     first_failure,
+    parameter_orbit,
 )
 
 # counts produced by this package's own enumerators and cross-checked by the
@@ -804,8 +805,19 @@ def _counted_checks(monkeypatch) -> list:
     return calls
 
 
+def _orbits(case_list) -> set:
+    """The parameter orbits the cases lie in, as (name, orbit) pairs, each
+    computed once."""
+    found = set()
+    for c in case_list:
+        params = tuple(c.params.items())
+        if not any(name == c.name and params in orbit for name, orbit in found):
+            found.add((c.name, parameter_orbit(c.params)))
+    return found
+
+
 def test_suite_checks_one_case_per_parameter_orbit_on_every_call(monkeypatch):
-    orbits = {(c.name, _orbit_key(c)[0]) for c in all_cases(6)}
+    orbits = _orbits(all_cases(6))
     assert len(orbits) == SUITE_N6_ORBITS
     calls = _counted_checks(monkeypatch)
     # a second call in the same process repeats the work: nothing is carried
@@ -814,7 +826,7 @@ def test_suite_checks_one_case_per_parameter_orbit_on_every_call(monkeypatch):
         calls.clear()
         assert run_theorem_suite(6).passed
         assert len(calls) == SUITE_N6_ORBITS
-        assert {(c.name, _orbit_key(c)[0]) for c in calls} == orbits
+        assert _orbits(calls) == orbits
 
 
 def _construction_record(n_max: int, name: str):
@@ -862,7 +874,7 @@ def test_a_fault_off_the_orbit_leader_is_reported_as_the_per_case_check_does(
                         _mutated_row(constructions._ROWS[name], _at(4, 2, 1), mode))
     case_list = list(cases(name, 4))
     # every distinct pair is in one orbit, led by (0, 1), not by (2, 1)
-    assert len({_orbit_key(c)[0] for c in case_list}) == 1
+    assert len({parameter_orbit(c.params) for c in case_list}) == 1
     assert (case_list[0].params["a"], case_list[0].params["c"]) == (0, 1)
     expected = [check_construction_case(c) for c in case_list]
     failed = [m for m in expected if m is not None]
@@ -872,7 +884,8 @@ def test_a_fault_off_the_orbit_leader_is_reported_as_the_per_case_check_does(
     assert not record.passed and record.counterexample == failed[0]
 
 
-def test_a_failing_orbit_leader_sends_its_whole_orbit_to_the_full_check(monkeypatch):
+def test_a_failing_orbit_leader_adds_no_form_so_the_next_case_is_checked_in_full(
+        monkeypatch):
     name = "lob*rob"
     monkeypatch.setitem(constructions._ROWS, name,
                         _mutated_row(constructions._ROWS[name], _at(4, 0, 1), "cell"))
@@ -881,9 +894,26 @@ def test_a_failing_orbit_leader_sends_its_whole_orbit_to_the_full_check(monkeypa
     assert expected[0] is not None and expected[1:] == [None] * (len(case_list) - 1)
     calls = _counted_checks(monkeypatch)
     assert _case_verdicts(case_list) == expected
-    assert [c.params for c in calls] == [c.params for c in case_list]
+    # (0, 2) passes in full, and the rest of the orbit shares its form
+    assert [(c.params["a"], c.params["c"]) for c in calls] == [(0, 1), (0, 2)]
     record = _construction_record(4, name)
     assert not record.passed and record.counterexample == expected[0]
+
+
+def test_an_orbit_that_fails_throughout_reports_every_case(monkeypatch):
+    # every case asserts a wrong flag, so all share one normal form and all
+    # fail: a failed form must not decide the next case
+    name = "lob*rob"
+    monkeypatch.setitem(constructions._ROWS, name, _mutated_row(
+        constructions._ROWS[name], lambda n, a, c: n == 4, "flag"))
+    case_list = list(cases(name, 4))
+    assert len({constructions._normal_form(c) for c in case_list}) == 1
+    calls = _counted_checks(monkeypatch)
+    verdicts = _case_verdicts(case_list)
+    assert [c.params for c in calls] == [c.params for c in case_list]
+    assert len(verdicts) == 12
+    for case, msg in zip(case_list, verdicts):
+        assert msg == f"{case.describe()}: abelian=True, expected False"
 
 
 def test_pairing_records_read_one_semigroup_per_class(monkeypatch):

@@ -91,6 +91,13 @@ def test_build_validation_error_exit_3(capsys):
     assert json.loads(err)["error"]["code"] == "EqualDistinguished"
 
 
+def test_build_names_a_bool_parameter_as_a_bad_index_exit_3(capsys):
+    doc = json.dumps({"family": "LOB", "n": 3, "a": True, "c": 1})
+    code, out, err = run(capsys, "build", "--json", doc)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "IndexOutOfRange"
+
+
 def test_build_rejects_non_int_size_exit_3(capsys):
     for n in (True, 2.0):
         doc = json.dumps({"family": "LO", "n": n})

@@ -3,12 +3,12 @@ case, the relabeling orbits of the parameters, and the size checks of `cases`
 and `all_cases`."""
 
 import hashlib
-from itertools import permutations
 
 import pytest
 
 from dimonoids import CONSTRUCTION_NAMES, EmptyCarrier, SizeMismatch, all_cases, cases
-from dimonoids.constructions import _orbit_key
+from dimonoids.constructions import _normal_form
+from reference import parameter_orbit
 
 # SHA-256 over `_case_record` of every case of `all_cases(6)`, one line each,
 # in yield order: construction by construction, n = 1..6 within each.
@@ -75,28 +75,17 @@ def test_unknown_construction_is_refused():
         list(cases("lo*nothing", 3))
 
 
-def _moved(params: dict, images) -> dict:
-    # the parameters after n moved along a permutation of D; n stays
-    return {k: v if k == "n" else
-            frozenset(images[x] for x in v) if isinstance(v, frozenset) else images[v]
-            for k, v in params.items()}
-
-
-def test_orbit_keys_are_the_relabeling_orbits_of_the_parameters():
-    # two cases share a key iff some permutation of D moves the parameters of
-    # one onto the other's, and tau_C^-1 . tau_R is one such permutation; an
-    # adjoined zero stays fixed
+def test_normal_forms_are_the_relabeling_orbits_of_the_parameters():
+    # two cases have equal normal forms iff some permutation of D moves the
+    # parameters of one onto the other's
+    pairs = 0
     for name in CONSTRUCTION_NAMES:
         for n in range(1, 5):
-            found = [(case, *_orbit_key(case)) for case in cases(name, n)]
-            for case, _, tau in found:
-                assert sorted(tau) == list(range(case.dimonoid.n))
-                assert tau[n:] == tuple(range(n, case.dimonoid.n))
-            for r, key_r, tau_r in found:
-                for c, key_c, tau_c in found:
-                    related = any(_moved(r.params, p) == c.params
-                                  for p in permutations(range(n)))
-                    assert (key_r == key_c) == related, (r.describe(), c.describe())
-                    if related:
-                        sigma = [tau_c.index(v) for v in tau_r]
-                        assert _moved(r.params, sigma) == c.params
+            found = [(case, _normal_form(case), parameter_orbit(case.params))
+                     for case in cases(name, n)]
+            pairs += len(found) ** 2
+            for r, form_r, orbit_r in found:
+                for c, form_c, _ in found:
+                    related = tuple(c.params.items()) in orbit_r
+                    assert (form_r == form_c) == related, (r.describe(), c.describe())
+    assert pairs == 5161

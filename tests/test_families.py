@@ -91,8 +91,17 @@ def test_lob_examples():
         lob(3, 1, 1)
     with pytest.raises(CarrierTooSmall):
         lob(1, 0, 1)
+    with pytest.raises(EqualDistinguished):
+        lob(1, 0, 0)
     with pytest.raises(IndexOutOfRange):
         lob(3, 0, 3)
+
+
+def test_lob_names_a_parameter_that_is_not_an_int_as_a_bad_index():
+    # True == 1, but a bool is no element, so it is not equal to c = 1
+    for a, c in ((True, 1), (1, True), ("x", 1), (1.0, 1)):
+        with pytest.raises(IndexOutOfRange):
+            lob(3, a, c)
 
 
 def test_lob_choices_are_isomorphic():

@@ -11,6 +11,7 @@ import pytest
 from dimonoids import (
     BadPartition,
     BoundExceeded,
+    FormatError,
     IndexOutOfRange,
     Permutation,
     SizeMismatch,
@@ -69,6 +70,13 @@ def test_permutation_images_must_be_ints():
     with pytest.raises(IndexOutOfRange):
         Permutation.from_json({"images": [True, False]})
     assert Permutation.of([1, 0]).images == (1, 0)
+
+
+def test_permutation_json_refuses_other_documents():
+    # an unknown key, a missing 'images' and a document that is not an object
+    for doc in ({"images": [1, 0], "x": 1}, {}, [1, 0], None):
+        with pytest.raises(FormatError):
+            Permutation.from_json(doc)
 
 
 def test_permutations_and_specs_are_ordered_immutable_values():

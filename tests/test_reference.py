@@ -8,7 +8,7 @@ REFERENCE = Path(__file__).with_name("reference.py")
 # the engines the reference routes are checked against
 ENGINES = {"_fill", "_labeled_semigroups", "_semigroup_leaders", "_right_tables",
            "_leader_right_tables", "_iso_catalog", "_IsoSearch", "_left_minimizers",
-           "_symmetric_group", "automorphisms", "canonical_key",
+           "_symmetric_group", "_normal_form", "automorphisms", "canonical_key",
            "enumerate_dimonoids_backtracking"}
 
 
