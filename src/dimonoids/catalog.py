@@ -30,6 +30,11 @@ The sorted labeled tables and the iso_and_duality merge are built again on
 every call.  Enumeration is deterministic: tables are emitted in
 lexicographic order of their entry tuples, and catalogs are sorted by
 canonical form, so a catalog's bytes depend only on its order and quotient.
+
+Each engine has one size bound, checked before any fill or memo read: the
+labeled streams take n <= SEMIGROUP_ENUM_BOUND (5), the dimonoid stream
+also at most its caller's max_n, and `classify` takes n <=
+morphisms.CANONICAL_BOUND (5).
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from .tables import (
     right_commutative_witness,
 )
 
-SEMIGROUP_ENUM_BOUND = 4
+SEMIGROUP_ENUM_BOUND = 5
 DIMONOID_ENUM_BOUND = 3
 SUITE_BOUND = 6
 
@@ -337,19 +342,20 @@ def _labeled_semigroups(n: int) -> Iterator[tuple[tuple[int, ...], OpTable, Rela
         yield tuple(key[:n * n]), leaders[i], relabelings[k]
 
 
-def enumerate_semigroups(n: int, max_n: int = SEMIGROUP_ENUM_BOUND) -> Iterator[OpTable]:
+def enumerate_semigroups(n: int) -> Iterator[OpTable]:
     """All labeled associative tables on 0..n-1, exactly once each, in
     lexicographic entry order: the lex leaders of `_fill` under S_n, one per
     semigroup class, each relabeled by every member of S_n (see
     `_labeled_semigroups`, which the dimonoid stream reads too).
 
     All labeled tables of order n are held before the first yield: 3,492 at
-    n = 4, and 183,732 at n = 5, which is reachable with max_n=5.  A
-    generator: the size checks run on first iteration.
+    n = 4, and 183,732 at n = SEMIGROUP_ENUM_BOUND = 5, the largest order
+    taken (order 6 has 17,061,118).  A generator: the size checks run on
+    first iteration, before any fill or memo read.
     """
     check_size(n)
-    if n > max_n:
-        raise BoundExceeded(f"semigroup enumeration limited to n <= {max_n}")
+    if n > SEMIGROUP_ENUM_BOUND:
+        raise BoundExceeded(f"semigroup enumeration limited to n <= {SEMIGROUP_ENUM_BOUND}")
     for entries, _, _ in _labeled_semigroups(n):
         yield OpTable(n, entries)
 
@@ -398,10 +404,15 @@ def enumerate_dimonoids_backtracking(n: int, max_n: int = DIMONOID_ENUM_BOUND
     tables of L0 onto themselves.  The right tables of each L0 are kept for
     the process (`_leader_right_tables`), so a second stream of the same
     order fills none.
+
+    The left tables are the labeled semigroups, so n is refused above
+    SEMIGROUP_ENUM_BOUND whatever max_n allows.  A generator: the size
+    checks run on first iteration, before any fill or memo read.
     """
     check_size(n)
-    if n > max_n:
-        raise BoundExceeded(f"dimonoid enumeration limited to n <= {max_n}")
+    bound = min(max_n, SEMIGROUP_ENUM_BOUND)
+    if n > bound:
+        raise BoundExceeded(f"dimonoid enumeration limited to n <= {bound}")
     for entries, least, (table, cells) in _labeled_semigroups(n):
         left = OpTable(n, entries)
         # built in one batch, so that each later next() costs only a pair()
@@ -495,8 +506,7 @@ def _iso_catalog(n: int) -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-def classify(n: int, quotient: str = "iso", workers: int = 1,
-             max_n: int = DIMONOID_ENUM_BOUND) -> list[CatalogEntry]:
+def classify(n: int, quotient: str = "iso", workers: int = 1) -> list[CatalogEntry]:
     """Classify all labeled dimonoids of order n up to isomorphism, or up to
     isomorphism-or-duality, as a new list on each call.  `workers` is
     ignored; it is kept so that positional callers still work.
@@ -504,8 +514,8 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     The iso catalog depends only on n, so it is built once per order and
     process (`_iso_catalog`, which says how): a later call, under either
     quotient, fills no table and keys no class.  canonical_key takes orders
-    up to CANONICAL_BOUND, so a larger n is refused before the memo is
-    read, whatever max_n allows.
+    up to CANONICAL_BOUND (5: 55,883 classes, a few seconds cold), so a
+    larger n is refused before any fill or memo read.
 
     Entries are sorted by their canonical tables.  Under the iso_and_duality
     quotient, built from the iso catalog on each call, each nonabelian class
@@ -514,9 +524,8 @@ def classify(n: int, quotient: str = "iso", workers: int = 1,
     if quotient not in QUOTIENTS:
         raise ValueError(f"quotient must be one of {QUOTIENTS}")
     check_size(n)
-    bound = min(max_n, CANONICAL_BOUND)
-    if n > bound:
-        raise BoundExceeded(f"classification limited to n <= {bound}")
+    if n > CANONICAL_BOUND:
+        raise BoundExceeded(f"classification limited to n <= {CANONICAL_BOUND}")
     entries = _iso_catalog(n)
     if quotient == "iso":
         return list(entries)

@@ -36,7 +36,7 @@ from .families import (
     right_zero_sg,
     subsets,
 )
-from .morphisms import Permutation, SymmetricProductSpec, relabel_dimonoid
+from .morphisms import SymmetricProductSpec
 from .tables import check_size, dual_table
 
 
@@ -190,16 +190,18 @@ def cases(name: str, n: int) -> Iterator[ConstructionCase]:
 
 
 def _normal_form(case: ConstructionCase) -> tuple:
-    """The case moved onto one chosen choice of its parameter orbit.
+    """The case moved onto one chosen choice of its parameter orbit, as
+    plain data.
 
     A permutation of D = 0..n-1 moves each parameter, a subset A or a point
     a, c or zero, to its image, and fixes the elements at indices >= n (an
     adjoined zero).  Colour each x in D by the parameters in row order:
     whether x lies in a subset, whether x equals a point.  tau maps each x
     in D to its rank in the colour order, ties by x, and every other element
-    to itself.  The normal form is the case moved along tau: its two tables
-    relabeled, its asserted halo and automorphism shape moved point by
-    point, and its asserted flags, which relabeling keeps.
+    to itself.  The normal form is the case moved along tau: the entries of
+    its two tables relabeled, its asserted halo moved point by point, its
+    asserted automorphism shape as its moved fixed points and the set of its
+    moved blocks, and its asserted flags, which relabeling keeps.
 
     Two cases R and C have equal normal forms iff sigma = tau_C^-1 . tau_R
     is an isomorphism from R's dimonoid onto C's that maps R's asserted halo
@@ -208,18 +210,21 @@ def _normal_form(case: ConstructionCase) -> tuple:
     n, *values = case.params.values()
     parts = [v if isinstance(v, frozenset) else (v,) for v in values]
     colours = [tuple(x in part for part in parts) for x in range(n)]
-    tau = list(range(case.dimonoid.n))
-    for rank, x in enumerate(sorted(range(n), key=colours.__getitem__)):
-        tau[x] = rank
+    d, halo, spec = case.dimonoid, case.expected_halo, case.aut_spec
+    # inv[r] is the element tau sends to rank r, and tau is its inverse
+    inv = sorted(range(n), key=colours.__getitem__) + list(range(n, d.n))
+    tau = sorted(range(d.n), key=inv.__getitem__)
 
     def image(points: frozenset[int]) -> frozenset[int]:
         return frozenset(tau[x] for x in points)
 
-    halo, spec = case.expected_halo, case.aut_spec
-    return (relabel_dimonoid(case.dimonoid, Permutation(tuple(tau))),
+    def moved(e: tuple[int, ...]) -> tuple[int, ...]:
+        # new(tau(x), tau(y)) = tau(old(x, y)), gathered row-major
+        return tuple([tau[e[xm + y]] for xm in [x * d.n for x in inv] for y in inv])
+
+    return (moved(d.left.entries), moved(d.right.entries),
             None if halo is None else image(halo),
-            None if spec is None
-            else SymmetricProductSpec.of(image(spec.fixed), [image(b) for b in spec.blocks]),
+            None if spec is None else (image(spec.fixed), frozenset(map(image, spec.blocks))),
             case.expected_abelian, case.expected_commutative, case.expected_rectangular)
 
 

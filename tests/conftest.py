@@ -39,4 +39,4 @@ def order_four():
 @pytest.fixture(scope="session")
 def classes_four():
     """The 734 isomorphism-class representatives of order 4."""
-    return [e.canonical for e in classify(4, max_n=4)]
+    return [e.canonical for e in classify(4)]

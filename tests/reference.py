@@ -24,6 +24,7 @@ from itertools import permutations, product
 
 import dimonoids.catalog as catalog
 from dimonoids import (
+    BoundExceeded,
     OpTable,
     Permutation,
     as_ditable,
@@ -144,11 +145,15 @@ def enumerate_semigroups_brute(n):
             yield t
 
 
-def enumerate_dimonoids_by_pairs(n, max_n=catalog.DIMONOID_ENUM_BOUND):
+def enumerate_dimonoids_by_pairs(n):
     """Every labeled dimonoid of order n: the ordered pairs of labeled
     semigroups that pass the pairing axioms, left table lexicographic, then
-    right.  The semigroup stream bounds n by max_n."""
-    semigroups = list(catalog.enumerate_semigroups(n, max_n))
+    right.  It tests every pair, 12.2 million at order 4, so n is refused
+    above catalog.DIMONOID_ENUM_BOUND before the stream is read."""
+    check_size(n)
+    if n > catalog.DIMONOID_ENUM_BOUND:
+        raise BoundExceeded(f"pair filter limited to n <= {catalog.DIMONOID_ENUM_BOUND}")
+    semigroups = list(catalog.enumerate_semigroups(n))
     for left in semigroups:
         for right in semigroups:
             if axioms_ok(left, right):

@@ -8,6 +8,7 @@ from operator import attrgetter
 import pytest
 
 import dimonoids.catalog as catalog
+import dimonoids.cli as cli
 import dimonoids.constructions as constructions
 import dimonoids.dimonoid as dimonoid
 import dimonoids.morphisms as morphisms
@@ -75,19 +76,26 @@ def test_semigroup_enumeration_is_sorted_and_unique(semigroups):
         assert len(set(entry_lists)) == len(entry_lists)
 
 
+def _filled_past_the_bound(*args, **kwargs):
+    raise AssertionError("filled past the bound")
+
+
 def test_order_four_semigroup_count():
     assert sum(1 for _ in enumerate_semigroups(4)) == 3492
 
 
-def test_enumeration_bounds():
-    # the size checks run on first iteration, not on the call
-    stream = enumerate_semigroups(5)
+def test_enumeration_bounds(monkeypatch):
+    # the size checks run on first iteration, not on the call; nothing is
+    # filled past a bound, so a lost check fails here instead of starting
+    # the order-6 fill
+    monkeypatch.setattr(catalog, "_fill", _filled_past_the_bound)
+    stream = enumerate_semigroups(6)
     with pytest.raises(BoundExceeded):
         next(stream)
     with pytest.raises(BoundExceeded):
         list(enumerate_dimonoids_by_pairs(4))
     with pytest.raises(BoundExceeded):
-        classify(4)
+        classify(6)
     with pytest.raises(EmptyCarrier):
         list(enumerate_semigroups(0))
     with pytest.raises(EmptyCarrier):
@@ -99,8 +107,9 @@ def test_enumeration_bounds():
 
 
 def test_max_n_reaches_the_semigroup_stream(monkeypatch):
-    # a caller's max_n bounds the lex-leader fill under the dimonoid stream,
-    # so order 5 needs no other setting: the stream reaches the fill at n = 5
+    # the dimonoid stream's max_n bounds the lex-leader fill under it, up to
+    # the semigroup bound, so order 5 needs no other setting: the stream
+    # reaches the fill at n = 5
     class Reached(Exception):
         pass
 
@@ -115,31 +124,26 @@ def test_max_n_reaches_the_semigroup_stream(monkeypatch):
         with pytest.raises(Reached):
             next(enumerate_dimonoids_backtracking(5, max_n=5))
     assert reached == [5]
-    bounds = []
-    stream = catalog.enumerate_semigroups
 
-    def recorded(n, max_n):
-        bounds.append(max_n)
-        return stream(n, max_n)
-
-    monkeypatch.setattr(catalog, "enumerate_semigroups", recorded)
-    list(enumerate_dimonoids_by_pairs(2, max_n=2))
-    # classify fills the lex leaders itself and checks its bound before that
-    classify(2, max_n=2)
-    assert bounds == [2]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("filled past the bound")
-
-    monkeypatch.setattr(catalog, "_fill", refuse)
-    with pytest.raises(BoundExceeded):
-        classify(3, max_n=2)
-    # canonical_key keys no dimonoid past its bound, so classify fills none
+    # the pair filter keeps a bound of its own and reads no stream past it
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "enumerate_semigroups", _filled_past_the_bound)
+        with pytest.raises(BoundExceeded, match="n <= 3"):
+            list(enumerate_dimonoids_by_pairs(4))
+    # each engine's one bound is checked before any fill or memo read:
+    # canonical_key keys no dimonoid past order 5, and the labeled streams
+    # hold no semigroups past it, whatever max_n the dimonoid stream is given
+    for name in ("_fill", "_semigroup_leaders", "_iso_catalog"):
+        monkeypatch.setattr(catalog, name, _filled_past_the_bound)
     with pytest.raises(BoundExceeded, match="n <= 5"):
-        classify(6, max_n=6)
-    # so does the dimonoid stream
-    with pytest.raises(BoundExceeded):
-        list(enumerate_dimonoids_backtracking(4, max_n=3))
+        classify(6)
+    with pytest.raises(BoundExceeded, match="n <= 5"):
+        next(enumerate_semigroups(6))
+    with pytest.raises(BoundExceeded, match="n <= 5"):
+        next(enumerate_dimonoids_backtracking(6, max_n=6))
+    # a smaller max_n still bounds the dimonoid stream
+    with pytest.raises(BoundExceeded, match="n <= 3"):
+        next(enumerate_dimonoids_backtracking(4, max_n=3))
 
 
 def test_enumeration_rejects_non_int_sizes():
@@ -183,7 +187,7 @@ def test_order_four_dimonoid_counts(order_four):
         assert count * automorphisms(rep).order == 24
     # classify visits only the canonical left tables; the labeled route must
     # give exactly its classes and counts
-    cat = classify(4, max_n=4)
+    cat = classify(4)
     assert {canonical_key(e.canonical): e.labeled_count for e in cat} == per_key
     # classify counts |Aut| without searching; the search must agree
     assert all(e.aut_order == automorphisms(e.canonical).order for e in cat)
@@ -272,23 +276,25 @@ def test_each_order_fills_its_leaders_once_per_process(monkeypatch):
     assert fills == {1: 1, 2: 1, 3: 1}
 
 
-def test_a_warm_memo_keeps_every_bound():
-    # the order-5 leaders and the order-4 right tables are kept, yet each
-    # caller's bound is still checked before the memo is read
-    assert sum(1 for _ in enumerate_semigroups(5, max_n=5)) == 183732
+def test_a_warm_memo_keeps_every_bound(monkeypatch):
+    # the order-5 leaders, the order-4 right tables and the order-4 catalog
+    # are kept, yet the dimonoid stream's max_n is still checked before the
+    # memo is read, and no engine takes order 6
+    assert sum(1 for _ in enumerate_semigroups(5)) == 183732
     assert sum(1 for _ in enumerate_dimonoids_backtracking(4, max_n=4)) == 15277
-    with pytest.raises(BoundExceeded):
-        classify(5)
-    with pytest.raises(BoundExceeded):
-        classify(4)
+    assert len(classify(4)) == 734
+
+    monkeypatch.setattr(catalog, "_fill", _filled_past_the_bound)
     with pytest.raises(BoundExceeded):
         next(enumerate_dimonoids_backtracking(4))
     with pytest.raises(BoundExceeded):
-        next(enumerate_semigroups(5))
-    # and the order-4 class keys
-    assert len(classify(4, max_n=4)) == 734
+        next(enumerate_dimonoids_backtracking(5, max_n=4))
     with pytest.raises(BoundExceeded):
-        classify(4)
+        next(enumerate_semigroups(6))
+    with pytest.raises(BoundExceeded):
+        classify(6)
+    # and the kept order-4 catalog still answers under either quotient
+    assert len(classify(4, "iso_and_duality")) == 430
 
 
 def test_each_order_fills_its_class_keys_once_per_process(monkeypatch):
@@ -312,13 +318,13 @@ def test_each_order_fills_its_class_keys_once_per_process(monkeypatch):
             catalog._iso_catalog.cache_clear()
             filled.clear()
             keyed.clear()
-            classify(n, first, max_n=4)
+            classify(n, first)
             assert len(filled) == len(set(filled)) == leaders
             assert len(keyed) == classes
             for second in catalog.QUOTIENTS:
                 filled.clear()
                 keyed.clear()
-                text = dumps_catalog(classify(n, second, max_n=4))
+                text = dumps_catalog(classify(n, second))
                 assert filled == [] and keyed == []
                 assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[n, second]
 
@@ -328,11 +334,11 @@ def test_changing_a_returned_catalog_leaves_the_memo_whole():
     # changes no later call's catalog
     for n in (3, 4):
         for quotient in catalog.QUOTIENTS:
-            entries = classify(n, quotient, max_n=4)
+            entries = classify(n, quotient)
             extra = entries[0]
             entries.clear()
-            classify(n, quotient, max_n=4).append(extra)
-            text = dumps_catalog(classify(n, quotient, max_n=4))
+            classify(n, quotient).append(extra)
+            text = dumps_catalog(classify(n, quotient))
             assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[n, quotient]
 
 
@@ -345,7 +351,7 @@ def test_classify_and_the_stream_share_no_right_tables(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(catalog, "_leader_right_tables", refuse)
         for (n, quotient), digest in CATALOG_DIGESTS.items():
-            text = dumps_catalog(classify(n, quotient, max_n=4))
+            text = dumps_catalog(classify(n, quotient))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
     catalog._iso_catalog.cache_clear()
     stream = b"".join(bytes(d.left.entries + d.right.entries)
@@ -431,7 +437,7 @@ def test_order_five_semigroup_stream():
     seen = Counter()
 
     def entries():
-        for t in enumerate_semigroups(5, max_n=5):
+        for t in enumerate_semigroups(5):
             seen[t.n] += 1
             yield t.entries
 
@@ -504,7 +510,7 @@ def test_classify_reads_each_leaders_rectangularity_once(monkeypatch):
     for n, lead, digest in ((3, 24, CATALOG_DIGESTS[3, "iso"]),
                             (4, 188, CATALOG_DIGESTS[4, "iso"])):
         calls.clear()
-        text = dumps_catalog(classify(n, max_n=4))
+        text = dumps_catalog(classify(n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert len(calls) == len(set(calls)) == lead
 
@@ -603,8 +609,41 @@ CATALOG_DIGESTS = {
 
 def test_catalog_bytes_are_pinned():
     for (n, quotient), digest in CATALOG_DIGESTS.items():
-        text = dumps_catalog(classify(n, quotient, max_n=4))
+        text = dumps_catalog(classify(n, quotient))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
+
+
+# the order-5 catalogs, pinned in one test, not in CATALOG_DIGESTS: each
+# test starts with cold memos, so each would pay the cold classify(5) again
+ORDER_FIVE = {
+    "iso": (55883, "ec4c1ab9c6cff49e2f2a99f15d907aabfeb9fcb07eb5ab702cfb45307be0a995"),
+    "iso_and_duality": (
+        28587, "116f0979d473c9370674f811811259d2c36910b9468fcb1218a857d296783585"),
+}
+
+
+def test_order_five_catalogs_and_the_cli_bounds(capsys, monkeypatch, tmp_path):
+    # the library and the CLI classify orders 4 and 5 and refuse order 6;
+    # the CLI writes dumps_catalog(classify(5, quotient)), so its bytes pin
+    # the library's without a second dump of 18 MB
+    for quotient, (classes, digest) in ORDER_FIVE.items():
+        entries = classify(5, quotient)
+        assert len(entries) == classes
+        assert sum(e.labeled_count for e in entries) == 6488383
+        path = tmp_path / f"catalog5-{quotient}.jsonl"
+        flag = "iso" if quotient == "iso" else "iso-dual"
+        argv = ["classify", "--n", "5", "--quotient", flag, "--out", str(path)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().err == f"classes: {classes}, labeled: 6488383\n"
+        assert cli.main(["classify", "--n", "4", "--quotient", flag]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_DIGESTS[4, quotient]
+
+    monkeypatch.setattr(catalog, "_fill", _filled_past_the_bound)
+    assert cli.main(["classify", "--n", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"]["code"] == "BoundExceeded"
 
 
 def test_warm_memos_give_the_cold_catalogs():
@@ -615,7 +654,7 @@ def test_warm_memos_give_the_cold_catalogs():
     for quotient in catalog.QUOTIENTS:
         catalog._semigroup_leaders.cache_clear()
         catalog._iso_catalog.cache_clear()
-        cold, warm = (classify(4, quotient, max_n=4) for _ in range(2))
+        cold, warm = (classify(4, quotient) for _ in range(2))
         colds[quotient] = cold
         assert dumps_catalog(cold) == dumps_catalog(warm)
         text = dumps_catalog(warm)
@@ -645,7 +684,7 @@ def test_classify_calls_canonical_key_once_per_class(monkeypatch):
     monkeypatch.setattr(catalog, "canonical_key", counted)
     for n, classes in ((2, 8), (3, 52), (4, 734)):
         calls.clear()
-        assert len(classify(n, max_n=4)) == classes
+        assert len(classify(n)) == classes
         assert len(calls) == classes
 
 
@@ -656,7 +695,7 @@ def test_classify_runs_no_automorphism_search(monkeypatch):
 
     monkeypatch.setattr(catalog, "automorphisms", refuse)
     for (n, quotient), digest in CATALOG_DIGESTS.items():
-        text = dumps_catalog(classify(n, quotient, max_n=4))
+        text = dumps_catalog(classify(n, quotient))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
 
 
@@ -667,13 +706,13 @@ def test_classify_trusts_the_axioms_the_fill_enforced(monkeypatch):
 
     monkeypatch.setattr(dimonoid, "_axiom_report", refuse)
     for (n, quotient), digest in CATALOG_DIGESTS.items():
-        text = dumps_catalog(classify(n, quotient, max_n=4))
+        text = dumps_catalog(classify(n, quotient))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, quotient)
 
 
 def test_carried_reports_equal_the_recomputed_ones():
     for n in (1, 2, 3, 4):
-        for e in classify(n, max_n=4):
+        for e in classify(n):
             rep = e.canonical
             assert rep.axiom_status == check_axioms(rep)
             twin = pair(rep.left, rep.right)

@@ -60,7 +60,7 @@ def test_every_readme_example_runs(capsys, monkeypatch, tmp_path):
             assert json.loads(out) == {"isomorphic": True}
         if argv[0] == "classify":
             written = tmp_path / argv[argv.index("--out") + 1]
-            assert len(written.read_text(encoding="utf-8").splitlines()) == 52
+            assert len(written.read_text(encoding="utf-8").splitlines()) == 734
 
 
 def test_build_json_matches_library(capsys):

@@ -605,7 +605,7 @@ def test_left_minimizers_match_the_scan_of_every_semigroup():
         members = list(all_permutations(n))
         position = {s: i for i, s in enumerate(morphisms._symmetric_group(n))}
         shared, ties = Counter(), {}
-        for t in enumerate_semigroups(n, max_n=4):
+        for t in enumerate_semigroups(n):
             least, minimizers = morphisms._left_minimizers(n, t.entries)
             assert (least, [members[position[s]] for s in minimizers]) == \
                 reference_minimizers(t)
