@@ -31,6 +31,15 @@ every call.  Enumeration is deterministic: tables are emitted in
 lexicographic order of their entry tuples, and catalogs are sorted by
 canonical form, so a catalog's bytes depend only on its order and quotient.
 
+A catalog line is json.dumps of its entry's document, keys sorted and no
+spaces.  `dumps_catalog` writes those bytes without the encoder: it fills
+one %-template per order (`_line_template`), which holds the sorted keys,
+the n x n rows of both tables and the flags as true/false, with the entry's
+counts and cells, and refuses with FormatError an entry whose line the
+template would write otherwise (a count, cell or order that is not an int,
+a flag that is not a bool, a table of the wrong shape).  The catalog
+writers open their files with "\n" line ends on every platform.
+
 Each engine has one size bound, checked before any fill or memo read: the
 labeled streams take n <= SEMIGROUP_ENUM_BOUND (5), the dimonoid stream
 also at most its caller's max_n, and `classify` takes n <=
@@ -41,6 +50,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -543,12 +553,68 @@ def classify(n: int, quotient: str = "iso", workers: int = 1) -> list[CatalogEnt
 # persistence
 
 
+_FLAG_TYPES = (bool,) * len(DiFlags._fields)
+
+
+@lru_cache(maxsize=8)
+def _line_template(n: int) -> tuple[str, tuple[type, ...], dict[tuple[bool, ...], str]]:
+    """The catalog line of an order-n entry as a %-template, keys sorted,
+    with the type each of its values must have, and the text of its "flags"
+    object for each value of DiFlags.  The values are, in the line's order:
+    aut_order, the n*n cells of the left table, n, the n*n cells of the
+    right table, dual_class, the flags text, halo_size and labeled_count."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise FormatError(f"the order of a catalog entry must be a positive int, got {n!r}")
+    rows = "[" + ",".join(["[" + ",".join(["%d"] * n) + "]"] * n) + "]"
+    template = ('{"aut_order":%d,"canonical":{"left":' + rows + ',"n":%d,"right":' + rows
+                + '},"dual_class":%d,"flags":%s,"halo_size":%d,"labeled_count":%d}\n')
+    flags_json = {
+        flags: "{" + ",".join(f'"{name}":{"true" if value else "false"}'
+                              for name, value in sorted(zip(DiFlags._fields, flags))) + "}"
+        for flags in product((False, True), repeat=len(DiFlags._fields))
+    }
+    return template, (int,) * (2 * n * n + 3) + (str, int, int), flags_json
+
+
+def _check_line(values: tuple, types: tuple, flags) -> None:
+    """Raise FormatError for the values of a catalog line that `dumps_catalog`
+    cannot write as json.dumps would.  An int subclass other than bool
+    passes where an int belongs: %d writes it as JSON does."""
+    if tuple(map(type, flags)) != _FLAG_TYPES:
+        raise FormatError(f"catalog flags must be booleans, got {tuple(flags)!r}")
+    for value, kind in zip(values, types):
+        if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
+            raise FormatError(f"a catalog entry holds {value!r} where an integer belongs")
+
+
 def dumps_catalog(entries: list[CatalogEntry]) -> str:
-    """Line-delimited JSON, one class per line, byte-stable."""
-    return "".join(
-        json.dumps(entry.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-        for entry in entries
-    )
+    """Line-delimited JSON, one class per line, byte-stable: each line is
+    json.dumps(entry.to_json(), sort_keys=True, separators=(",", ":")) and a
+    newline, byte for byte, rendered by %-formatting the template of its
+    order (`_line_template`) with the entry's values, so no document is
+    built and no encoder runs per entry.
+
+    What the template cannot write as json.dumps does is refused with
+    FormatError, and no text is returned: a count, a cell or n that is not
+    an int (a bool is not one), a flag that is not a bool, and a right
+    table of another order or a table without n*n cells.  tests/reference.py
+    keeps the json.dumps route, and the tests compare the two line by line.
+    """
+    lines = []
+    # CatalogEntry and OpTable unpack in their field order
+    for canonical, flags, halo_size, aut_order, labeled_count, dual_class in entries:
+        n, left = canonical.left
+        right_n, right = canonical.right
+        if right_n != n or len(left) != n * n or len(right) != n * n:
+            raise FormatError(f"the tables of an order-{n!r} catalog entry "
+                              f"need {n!r} x {n!r} cells each")
+        template, types, flags_json = _line_template(n)
+        values = (aut_order, *left, n, *right, dual_class, flags_json.get(flags),
+                  halo_size, labeled_count)
+        if tuple(map(type, values)) != types or tuple(map(type, flags)) != _FLAG_TYPES:
+            _check_line(values, types, flags)
+        lines.append(template % values)
+    return "".join(lines)
 
 
 def loads_catalog(text: str) -> list[CatalogEntry]:
@@ -565,7 +631,8 @@ def loads_catalog(text: str) -> list[CatalogEntry]:
 
 
 def save_catalog(entries: list[CatalogEntry], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    # "\n" line ends on every platform, so the file has dumps_catalog's bytes
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps_catalog(entries))
 
 

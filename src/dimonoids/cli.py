@@ -270,7 +270,7 @@ def _cmd_classify(args) -> int:
     entries = classify(args.n, quotient=quotient)
     text = dumps_catalog(entries)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

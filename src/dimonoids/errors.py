@@ -73,7 +73,8 @@ class BoundExceeded(DimonoidError, ValueError):
 
 class FormatError(DimonoidError, ValueError):
     """A JSON document or a persisted catalog file could not be parsed, or
-    holds a key its reader does not know."""
+    holds a key its reader does not know; or a catalog entry holds a value
+    that no catalog line can carry."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")

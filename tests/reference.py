@@ -12,14 +12,17 @@ check, each by its definition.
   `relabel_table`).
 - The n! scan of a construction's parameters: their relabeling orbit
   (behind the suite's normal forms).
+- The json.dumps catalog writer: one encoder call per entry document
+  (behind `dumps_catalog`'s line template).
 
 They read the package's data types and single-map checks (`OpTable`,
-`pair`, `Permutation`, `check_morphism`, `relabel_table`, `axioms_ok`),
-never an engine they check; tests/test_reference.py parses this file to
-hold it to that.  The pair filter reads `catalog.enumerate_semigroups` at
+`pair`, `Permutation`, `check_morphism`, `relabel_table`, `axioms_ok`,
+`CatalogEntry.to_json`), never an engine they check;
+tests/test_reference.py parses this file to hold it to that.  The pair filter reads `catalog.enumerate_semigroups` at
 call time, so a test can patch the stream under it.
 """
 
+import json
 from itertools import permutations, product
 
 import dimonoids.catalog as catalog
@@ -158,3 +161,10 @@ def enumerate_dimonoids_by_pairs(n):
         for right in semigroups:
             if axioms_ok(left, right):
                 yield pair(left, right)
+
+
+def dumps_catalog_json(entries):
+    """dumps_catalog by its definition: each entry's document by json.dumps,
+    keys sorted and no spaces, one line each."""
+    return "".join(json.dumps(entry.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+                   for entry in entries)

@@ -42,10 +42,11 @@ from dimonoids import (
 )
 from dimonoids.catalog import _case_verdicts, _fill, _right_tables, check_construction_case
 from dimonoids.constructions import CONSTRUCTION_NAMES
-from dimonoids.dimonoid import AXIOM_BINDINGS
+from dimonoids.dimonoid import AXIOM_BINDINGS, DiFlags, DiTable
 from dimonoids.morphisms import _symmetric_group
 from dimonoids.tables import rectangular_witness
 from reference import (
+    dumps_catalog_json,
     enumerate_dimonoids_by_pairs,
     enumerate_semigroups_brute,
     first_failure,
@@ -728,6 +729,120 @@ def test_save_load_round_trip(tmp_path, catalogs):
         first = path.read_bytes()
         save_catalog(cat, path)
         assert path.read_bytes() == first
+
+
+def test_catalog_writers_pass_unix_newlines(monkeypatch, tmp_path, capsys, catalogs):
+    # the default newline handling writes "\r\n" on Windows, which would
+    # change the pinned bytes; Linux cannot show the translation, so the
+    # test records what each writer asks open for
+    asked = []
+
+    def recording_open(*args, **kwargs):
+        asked.append(kwargs.get("newline"))
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "open", recording_open, raising=False)
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    save_catalog(catalogs[2], tmp_path / "saved.jsonl")
+    assert cli.main(["classify", "--n", "2", "--out", str(tmp_path / "cli.jsonl")]) == 0
+    capsys.readouterr()
+    assert asked == ["\n", "\n"]
+    for name in ("saved.jsonl", "cli.jsonl"):
+        assert (tmp_path / name).read_bytes() == dumps_catalog(catalogs[2]).encode()
+
+
+def test_catalog_lines_are_the_json_dumps_lines():
+    for n in (1, 2, 3, 4):
+        for quotient in catalog.QUOTIENTS:
+            entries = classify(n, quotient)
+            lines = dumps_catalog(entries).splitlines(keepends=True)
+            assert lines == [dumps_catalog_json([e]) for e in entries], (n, quotient)
+
+
+def _synthetic_base(n):
+    # left zero (x * y = x) and right zero (x * y = y): every row and every
+    # column differs, so a transposed or swapped table shows
+    left = OpTable(n, tuple(x for x in range(n) for _ in range(n)))
+    right = OpTable(n, tuple(range(n)) * n)
+    return pair(left, right)
+
+
+def test_catalog_lines_of_every_flag_combination():
+    counts = ((0, 1, 1, 0), (3, 120, 54, 7), (5, 1, 6488383, 55882))
+    for n in (1, 5):
+        canonical = _synthetic_base(n)
+        entries = [CatalogEntry(canonical, DiFlags(*flags), *four)
+                   for flags in product((False, True), repeat=5) for four in counts]
+        text = dumps_catalog(entries)
+        assert text.splitlines(keepends=True) == [dumps_catalog_json([e]) for e in entries]
+        assert loads_catalog(text) == entries
+
+
+class OddReprInt(int):
+    """An int subclass whose repr and str are not its digits."""
+
+    def __repr__(self):
+        return "OddReprInt"
+
+    __str__ = __repr__
+
+
+def _written_alike_or_refused(entry):
+    """dumps_catalog writes the json.dumps bytes of the entry or refuses it,
+    never other bytes; returns whether it refused."""
+    try:
+        text = dumps_catalog([entry])
+    except FormatError:
+        return True
+    assert text == dumps_catalog_json([entry]), entry
+    return False
+
+
+def test_refused_entries_are_written_alike_or_not_at_all():
+    base = CatalogEntry(_synthetic_base(5), DiFlags(False, False, False, False, True),
+                        3, 120, 1, 0)
+    bad = []
+    for field in ("halo_size", "aut_order", "labeled_count", "dual_class_id"):
+        bad += [base._replace(**{field: v}) for v in (True, False, 1.0, 2.5, None, "3")]
+    for i in range(5):
+        for v in (0, 1, 1.0, None, "true"):
+            flags = list(base.flags)
+            flags[i] = v
+            bad.append(base._replace(flags=DiFlags(*flags)))
+    left, right = base.canonical.left, base.canonical.right
+    for v in (True, False, 1.0, None, "1"):
+        cells = (v,) + right.entries[1:]
+        bad.append(base._replace(canonical=DiTable(left, OpTable(5, cells))))
+        bad.append(base._replace(canonical=DiTable(OpTable(5, cells), right)))
+    one = OpTable(1, (0,))
+    bad.append(base._replace(canonical=DiTable(left, one)))
+    bad.append(base._replace(canonical=DiTable(OpTable(True, (0,)), one)))
+    for entry in bad:
+        # each is refused by the reader, and refused by the writer
+        with pytest.raises(FormatError):
+            loads_catalog(dumps_catalog_json([entry]))
+        assert _written_alike_or_refused(entry), entry
+    # an order True is refused whether or not the order-1 template is kept
+    for warm in (False, True):
+        catalog._line_template.cache_clear()
+        if warm:
+            dumps_catalog([base._replace(canonical=pair(one, one))])
+        with pytest.raises(FormatError):
+            dumps_catalog([bad[-1]])
+    # a table with a cell past n * n, which json.dumps's rows drop, is refused
+    longer = OpTable(5, right.entries + (0,))
+    with pytest.raises(FormatError):
+        dumps_catalog([base._replace(canonical=DiTable(left, longer))])
+    # out-of-range cells, which the reader refuses, and int subclasses other
+    # than bool are ints, which %d writes as json.dumps does
+    for cell in (-1, 5, OddReprInt(2)):
+        cells = (cell,) + right.entries[1:]
+        entry = base._replace(canonical=DiTable(left, OpTable(5, cells)))
+        assert not _written_alike_or_refused(entry)
+        if type(cell) is int:
+            with pytest.raises(FormatError):
+                loads_catalog(dumps_catalog([entry]))
+    assert not _written_alike_or_refused(base._replace(aut_order=OddReprInt(120)))
 
 
 def test_load_truncated_file_reports_line(tmp_path, catalogs):

@@ -9,7 +9,7 @@ REFERENCE = Path(__file__).with_name("reference.py")
 ENGINES = {"_fill", "_labeled_semigroups", "_semigroup_leaders", "_right_tables",
            "_leader_right_tables", "_iso_catalog", "_IsoSearch", "_left_minimizers",
            "_symmetric_group", "_normal_form", "automorphisms", "canonical_key",
-           "enumerate_dimonoids_backtracking"}
+           "enumerate_dimonoids_backtracking", "dumps_catalog", "_line_template"}
 
 
 def engine_reads(source):
